@@ -1,7 +1,7 @@
 """Dense-tensor engine with reverse-mode differentiation.
 
 Covers exactly the operations the waveform/graph models need: folded
-matrix product, strided valid 1D convolution, relu/tanh/add/scale
+matrix product, strided valid 1D convolution, relu/tanh/add/add_bias
 elementwise ops, reshape/concat plumbing, node mixing by a constant
 propagation matrix, mean-squared-error loss and an L2 weight penalty.
 
@@ -210,17 +210,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _node(out, (x, b), backward)
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    x = _as_tensor(x)
-    c = float(c)
-    out = x.data * c
-
-    def backward(g):
-        return (g * c,)
-
-    return _node(out, (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # shape plumbing
 
@@ -234,10 +223,6 @@ def reshape(x: Tensor, shape) -> Tensor:
         return (g.reshape(x.data.shape),)
 
     return _node(out, (x,), backward)
-
-
-def flatten(x: Tensor) -> Tensor:
-    return reshape(x, (x.data.size,))
 
 
 def concat_last(parts) -> Tensor:

@@ -16,8 +16,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,16 +31,10 @@ from .data import (
 )
 from .errors import InputError, TisergcnError
 from .geo import build_adjacency, graph_stats, graph_to_dict, propagation_matrix
-from .model import (
-    IM_NAMES,
-    ModelConfig,
-    build_cnn_baseline,
-    build_tiser_gcn,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .model import IM_NAMES, MODEL_KINDS, Model, ModelConfig, load_checkpoint, save_checkpoint
 from .train import (
     TrainConfig,
+    TrainHistory,
     metrics_from_predictions,
     predict_batched,
     run_protocol,
@@ -69,7 +63,7 @@ def default_spec() -> dict:
             "site_amp": 0.0,
         },
         "model": {"kind": "tiser", **ModelConfig().to_dict()},
-        "train": {**TrainConfig().to_dict(), "stop_below_train_loss": None},
+        "train": TrainConfig().to_dict(),
         "graph_k": 0.3,
         "window_seconds": None,
         "protocol": "cv",
@@ -88,7 +82,20 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _check_keys(base: dict, user, where: str = "") -> None:
+    """Reject a spec section that is not an object or has a key `base` lacks."""
+    if not isinstance(user, dict):
+        raise InputError(f"spec{where} must be a JSON object")
+    unknown = set(user) - set(base)
+    if unknown:
+        raise InputError(f"unknown spec keys{where}: {sorted(unknown)}")
+    for key, val in user.items():
+        if isinstance(base[key], dict):
+            _check_keys(base[key], val, f" section {key!r}")
+
+
 def load_spec(args) -> dict:
+    """Defaults merged with the user spec and flags, validated before any I/O."""
     spec = default_spec()
     if getattr(args, "spec", None):
         with open(args.spec, encoding="utf-8") as fh:
@@ -96,9 +103,7 @@ def load_spec(args) -> dict:
                 user = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{args.spec}: invalid JSON at offset {exc.pos}: {exc.msg}")
-        unknown = set(user) - set(spec)
-        if unknown:
-            raise InputError(f"unknown spec keys: {sorted(unknown)}")
+        _check_keys(spec, user)
         spec = _merge(spec, user)
     if getattr(args, "seed", None) is not None:
         spec["seed"] = args.seed
@@ -108,6 +113,10 @@ def load_spec(args) -> dict:
         spec["graph_k"] = args.k
     if getattr(args, "window", None) is not None:
         spec["window_seconds"] = args.window
+    if spec["model"]["kind"] not in MODEL_KINDS:
+        raise InputError(f"unknown model kind {spec['model']['kind']!r}")
+    if spec["protocol"] not in ("cv", "single"):
+        raise InputError(f"unknown protocol {spec['protocol']!r}")
     return spec
 
 
@@ -185,18 +194,19 @@ def _load_windowed_dataset(spec: dict):
     return ds
 
 
-def _model_config(spec: dict, ds) -> tuple[str, ModelConfig]:
+def _configs(spec: dict, ds) -> tuple[str, ModelConfig, TrainConfig]:
+    """Model kind and typed configs; the input shape comes from the dataset."""
     section = dict(spec["model"])
     kind = section.pop("kind")
     cfg = ModelConfig.from_dict(section)
     cfg = replace(cfg, input_seconds=ds.input_seconds, sample_rate_hz=ds.sample_rate_hz,
                   channels=ds.n_channels)
-    return kind, cfg
+    return kind, cfg, TrainConfig.from_dict(spec["train"])
 
 
 def _propagation(spec: dict, ds, cfg: ModelConfig):
-    graph = build_adjacency(ds.stations, float(spec["graph_k"]))
-    return graph, propagation_matrix(graph, cfg.propagation)
+    return propagation_matrix(build_adjacency(ds.stations, float(spec["graph_k"])),
+                              cfg.propagation)
 
 
 def _residual_rows(event_idx, y_true, y_pred):
@@ -210,6 +220,11 @@ def _residual_rows(event_idx, y_true, y_pred):
 
 
 RESIDUAL_HEADER = "event,station,im,y_true_log10,y_pred_log10"
+
+
+def _write_curves(path: str, prov: dict, hist: TrainHistory) -> None:
+    rows = hist.curves_rows()
+    write_csv(path, prov, rows[0], rows[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +276,8 @@ def _write_report_artifacts(path: str, prov: dict, report, residuals: dict) -> N
     body["provenance"] = prov
     write_json(os.path.join(path, "metrics.json"), body)
     for run in report.runs:
-        rows = ["epoch,train_loss,val_loss"]
-        for e, tl in enumerate(run["curves"]["train_loss"]):
-            vals = run["curves"]["val_loss"]
-            vl = vals[e] if e < len(vals) else float("nan")
-            rows.append(f"{e},{tl!r},{vl!r}")
-        name = f"curves_r{run['repeat']}f{run['fold']}.csv"
-        write_csv(os.path.join(path, name), prov, rows[0], rows[1:])
+        _write_curves(os.path.join(path, f"curves_r{run['repeat']}f{run['fold']}.csv"), prov,
+                      TrainHistory(run["curves"]["train_loss"], run["curves"]["val_loss"]))
     if residuals:
         write_csv(os.path.join(path, "residuals.csv"), prov, RESIDUAL_HEADER,
                   _residual_rows(residuals["event_idx"], residuals["y_true"],
@@ -279,20 +289,16 @@ def cmd_train(args) -> int:
     spec = load_spec(args)
     prov = provenance(spec)
     ds = _load_windowed_dataset(spec)
-    kind, mcfg = _model_config(spec, ds)
-    _, prop = _propagation(spec, ds, mcfg)
-    tcfg = TrainConfig.from_dict(
-        {k: v for k, v in spec["train"].items() if k != "stop_below_train_loss"})
+    kind, mcfg, tcfg = _configs(spec, ds)
+    prop = _propagation(spec, ds, mcfg)
     path = out_dir(args, "train")
 
     if spec["protocol"] == "cv":
         report, residuals = run_protocol(kind, ds, prop, mcfg, tcfg, int(spec["seed"]))
         _write_report_artifacts(path, prov, report, residuals)
-    elif spec["protocol"] == "single":
-        builder = build_tiser_gcn if kind == "tiser" else build_cnn_baseline
-        model = builder(replace(mcfg, init_seed=int(spec["seed"])), ds.n_nodes)
-        hist = train(model, ds, prop, tcfg, seed=int(spec["seed"]),
-                     stop_below_train_loss=spec["train"]["stop_below_train_loss"])
+    else:
+        model = Model(kind, replace(mcfg, init_seed=int(spec["seed"])), ds.n_nodes)
+        hist = train(model, ds, prop, tcfg, seed=int(spec["seed"]))
         y_true = np.asarray(ds.Y, dtype=np.float64)
         y_pred = predict_batched(model, prop, ds.X, ds.stations.coords(),
                                  tcfg.batch_size)
@@ -305,14 +311,10 @@ def cmd_train(args) -> int:
             "epochs_run": len(hist.train_loss),
             "metrics": metrics_from_predictions(y_true, y_pred),
         })
-        write_csv(os.path.join(path, "curves.csv"), prov,
-                  "epoch,train_loss,val_loss",
-                  [f"{e},{tl!r},nan" for e, tl in enumerate(hist.train_loss)])
+        _write_curves(os.path.join(path, "curves.csv"), prov, hist)
         write_csv(os.path.join(path, "residuals.csv"), prov, RESIDUAL_HEADER,
                   _residual_rows(np.arange(ds.n_events), y_true, y_pred))
         save_checkpoint(model, os.path.join(path, "checkpoint.tsrg"))
-    else:
-        raise InputError(f"unknown protocol {spec['protocol']!r}")
     write_run_log(path, "train", started)
     print(os.path.join(path, "metrics.json"))
     return 0
@@ -324,7 +326,7 @@ def cmd_eval(args) -> int:
     prov = provenance(spec)
     ds = _load_windowed_dataset(spec)
     model = load_checkpoint(args.checkpoint)
-    _, prop = _propagation(spec, ds, model.cfg)
+    prop = _propagation(spec, ds, model.cfg)
     y_true = np.asarray(ds.Y, dtype=np.float64)
     y_pred = predict_batched(model, prop, ds.X, ds.stations.coords())
     path = out_dir(args, "eval")
@@ -341,98 +343,68 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep(jobs: int, work, items):
-    """Run `work` over items, in order, optionally on worker threads."""
-    if jobs <= 1:
-        return [work(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(work, items))
+def _ablate(args, command: str, header: str, items, row) -> int:
+    """Shared ablation sweep: ``row(item, base)`` formats the CSV row of one
+    item of ``items(spec)``; ``base.run`` runs the protocol on the spec's
+    setting with the given kind, dataset, graph or model fields swapped."""
+    started = time.monotonic()
+    spec = load_spec(args)
+    prov = provenance(spec)
+    ds = _load_windowed_dataset(spec)
+    kind, mcfg, tcfg = _configs(spec, ds)
+    graph = build_adjacency(ds.stations, float(spec["graph_k"]))
+
+    def run(kind=kind, ds=ds, graph=graph, **model_changes):
+        cfg = replace(mcfg, **model_changes)
+        prop = propagation_matrix(graph, cfg.propagation)
+        return run_protocol(kind, ds, prop, cfg, tcfg, int(spec["seed"]))[0]
+
+    base = SimpleNamespace(spec=spec, prov=prov, ds=ds, run=run)
+    rows = [row(item, base) for item in items(spec)]
+    path = out_dir(args, command)
+    name = os.path.join(path, command.replace("-", "_") + ".csv")
+    write_csv(name, prov, header, rows)
+    write_run_log(path, command, started)
+    print(name)
+    return 0
+
+
+def _mean_mse(report) -> float:
+    return report.aggregate["overall"]["mse"]["mean"]
 
 
 def cmd_ablate_k(args) -> int:
-    started = time.monotonic()
-    spec = load_spec(args)
-    prov = provenance(spec)
-    ds = _load_windowed_dataset(spec)
-    kind, mcfg = _model_config(spec, ds)
-    tcfg = TrainConfig.from_dict(
-        {k: v for k, v in spec["train"].items() if k != "stop_below_train_loss"})
-    ks = [float(k) for k in spec["ablate"]["ks"]]
-
-    def work(k: float):
-        graph = build_adjacency(ds.stations, k)
-        prop = propagation_matrix(graph, mcfg.propagation)
+    def row(k, base):
+        graph = build_adjacency(base.ds.stations, k)
         edges, centrality, cutoff = graph_stats(graph)
-        report, _ = run_protocol(kind, ds, prop, mcfg, tcfg, int(spec["seed"]))
-        mse = report.aggregate["overall"]["mse"]["mean"]
+        mse = _mean_mse(base.run(graph=graph))
         return f"{k!r},{cutoff!r},{edges},{centrality!r},{mse!r}"
 
-    rows = _sweep(args.jobs, work, ks)
-    path = out_dir(args, "ablate-k")
-    write_csv(os.path.join(path, "ablate_k.csv"), prov,
-              "k,cutoff_km,edges,avg_degree_centrality,mse", rows)
-    write_run_log(path, "ablate-k", started)
-    print(os.path.join(path, "ablate_k.csv"))
-    return 0
+    return _ablate(args, "ablate-k", "k,cutoff_km,edges,avg_degree_centrality,mse",
+                   lambda spec: [float(k) for k in spec["ablate"]["ks"]], row)
 
 
 def cmd_ablate_window(args) -> int:
-    started = time.monotonic()
-    spec = load_spec(args)
-    prov = provenance(spec)
-    ds = _load_windowed_dataset(spec)
-    kind_ignored, mcfg = _model_config(spec, ds)
-    tcfg = TrainConfig.from_dict(
-        {k: v for k, v in spec["train"].items() if k != "stop_below_train_loss"})
-    windows = [int(w) for w in spec["ablate"]["windows"]]
-
-    def work(item):
+    def row(item, base):
         kind, seconds = item
-        ds_w = truncate_dataset(ds, seconds)
-        cfg_w = replace(mcfg, input_seconds=seconds)
-        prop = propagation_matrix(build_adjacency(ds.stations, float(spec["graph_k"])),
-                                  cfg_w.propagation)
-        report, _ = run_protocol(kind, ds_w, prop, cfg_w, tcfg, int(spec["seed"]))
-        mse = report.aggregate["overall"]["mse"]["mean"]
-        return f"{kind},{seconds},{report.param_count},{mse!r}"
+        report = base.run(kind, truncate_dataset(base.ds, seconds), input_seconds=seconds)
+        return f"{kind},{seconds},{report.param_count},{_mean_mse(report)!r}"
 
-    items = [(kind, s) for kind in ("tiser", "cnn") for s in windows]
-    rows = _sweep(args.jobs, work, items)
-    path = out_dir(args, "ablate-window")
-    write_csv(os.path.join(path, "ablate_window.csv"), prov,
-              "model,window_seconds,param_count,mse", rows)
-    write_run_log(path, "ablate-window", started)
-    print(os.path.join(path, "ablate_window.csv"))
-    return 0
+    return _ablate(args, "ablate-window", "model,window_seconds,param_count,mse",
+                   lambda spec: [(kind, int(s)) for kind in MODEL_KINDS
+                                 for s in spec["ablate"]["windows"]], row)
 
 
 def cmd_ablate_meta(args) -> int:
-    started = time.monotonic()
-    spec = load_spec(args)
-    prov = provenance(spec)
-    ds = _load_windowed_dataset(spec)
-    _, mcfg = _model_config(spec, ds)
-    tcfg = TrainConfig.from_dict(
-        {k: v for k, v in spec["train"].items() if k != "stop_below_train_loss"})
-
-    def work(item):
+    def row(item, base):
         kind, meta = item
-        cfg = replace(mcfg, use_metadata=meta)
-        prop = propagation_matrix(build_adjacency(ds.stations, float(spec["graph_k"])),
-                                  cfg.propagation)
-        report, _ = run_protocol(kind, ds, prop, cfg, tcfg, int(spec["seed"]))
-        mse = report.aggregate["overall"]["mse"]["mean"]
+        mse = _mean_mse(base.run(kind, use_metadata=meta))
         return (f"{kind},{'on' if meta else 'off'},{mse!r},"
-                f"{spec['seed']},{prov['spec_sha256']}")
+                f"{base.spec['seed']},{base.prov['spec_sha256']}")
 
-    items = [(kind, meta) for kind in ("tiser", "cnn") for meta in (True, False)]
-    rows = _sweep(args.jobs, work, items)
-    path = out_dir(args, "ablate-meta")
-    write_csv(os.path.join(path, "ablate_meta.csv"), prov,
-              "model,metadata,mse,seed,spec_sha256", rows)
-    write_run_log(path, "ablate-meta", started)
-    print(os.path.join(path, "ablate_meta.csv"))
-    return 0
+    return _ablate(args, "ablate-meta", "model,metadata,mse,seed,spec_sha256",
+                   lambda spec: [(kind, meta) for kind in MODEL_KINDS for meta in (True, False)],
+                   row)
 
 
 def cmd_report(args) -> int:
@@ -501,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", help="JSON experiment spec; flags override fields")
         p.add_argument("--seed", type=int, help="root RNG seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps")
         p.add_argument("--dataset", help="dataset directory (default $TISER_DATA_DIR/dataset)")
 
     specs = [

@@ -25,6 +25,7 @@ from .geo import PropagationMatrix
 from .layers import Conv1DLayer, DenseLayer, GCNLayer, append_metadata, node_feature_reshape
 
 IM_NAMES = ("pga", "pgv", "sa03", "sa1", "sa3")
+MODEL_KINDS = ("tiser", "cnn")
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
@@ -52,7 +53,6 @@ class ModelConfig:
     dense_width: int = 128
     use_metadata: bool = True
     propagation: str = "renormalized"
-    l2_coeff: float = 1e-4
     dtype: str = "f32"
     init_seed: int = 0
 
@@ -106,7 +106,7 @@ class Model:
     """Layer stack with a named-parameter registry and five regression heads."""
 
     def __init__(self, kind: str, cfg: ModelConfig, n_nodes: int):
-        if kind not in ("tiser", "cnn"):
+        if kind not in MODEL_KINDS:
             raise ConstructionError(f"unknown model kind {kind!r}")
         self.kind = kind
         self.cfg = cfg
@@ -275,7 +275,10 @@ def load_checkpoint(path) -> Model:
         raise CheckpointFormatError(f"corrupt metadata blob at offset {off}: {exc}") from None
     off += blob_len
 
-    cfg = ModelConfig.from_dict(meta["cfg"])
+    try:
+        cfg = ModelConfig.from_dict(meta["cfg"])
+    except (KeyError, TypeError) as exc:
+        raise CheckpointFormatError(f"stored model config does not fit ModelConfig: {exc}") from None
     model = Model(meta["kind"], cfg, meta["n_nodes"])
     registry = model.named_params()
     for entry in meta["params"]:

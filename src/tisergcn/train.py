@@ -18,7 +18,7 @@ import numpy as np
 from .data import EventDataset
 from .errors import InputError, TrainingDivergedError
 from .geo import PropagationMatrix
-from .model import IM_NAMES, Model, ModelConfig, build_cnn_baseline, build_tiser_gcn
+from .model import IM_NAMES, MODEL_KINDS, Model, ModelConfig
 from . import autodiff as ad
 
 METRIC_NAMES = ("mae", "mse", "rmse")
@@ -36,6 +36,7 @@ class TrainConfig:
     folds: int = 5
     repeats: int = 5
     test_fraction: float = 0.2
+    stop_below_train_loss: float | None = None
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -150,14 +151,14 @@ def _dataset_mse(model, prop, X, Y, z, batch_size) -> float:
 
 
 def train(model: Model, ds: EventDataset, prop: PropagationMatrix, cfg: TrainConfig,
-          train_idx=None, val_idx=None, seed: int = 0,
-          stop_below_train_loss: float | None = None) -> TrainHistory:
+          train_idx=None, val_idx=None, seed: int = 0) -> TrainHistory:
     """Mini-batch RMSprop on MSE + L2, early stopping on validation MSE.
 
     Shuffle order is a pure function of (seed, epoch).  With a validation
     set, training stops after `patience` epochs without improvement and
     the best-validation weights are restored; without one it runs to
-    max_epochs (or until train loss drops below the optional target).
+    max_epochs.  Either way it also stops once train loss drops below
+    `cfg.stop_below_train_loss` when that is set.
     Reported losses are data MSE only; the L2 term steers updates but is
     excluded from curves so they stay comparable across penalty settings.
     """
@@ -210,7 +211,7 @@ def train(model: Model, ds: EventDataset, prop: PropagationMatrix, cfg: TrainCon
                     break
         else:
             hist.best_epoch = epoch
-        if stop_below_train_loss is not None and train_loss < stop_below_train_loss:
+        if cfg.stop_below_train_loss is not None and train_loss < cfg.stop_below_train_loss:
             break
     if best_state is not None:
         for p, saved in zip(params, best_state):
@@ -292,8 +293,7 @@ def run_protocol(kind: str, ds: EventDataset, prop: PropagationMatrix,
     Returns the report plus the best run's test-set residuals
     {repeat, fold, event_idx, y_true, y_pred} for scatter exports.
     """
-    builders = {"tiser": build_tiser_gcn, "cnn": build_cnn_baseline}
-    if kind not in builders:
+    if kind not in MODEL_KINDS:
         raise InputError(f"unknown model kind {kind!r}")
     plans = split_protocol(ds.n_events, seed, cfg)
     runs = []
@@ -303,7 +303,7 @@ def run_protocol(kind: str, ds: EventDataset, prop: PropagationMatrix,
         for fold in range(cfg.folds):
             run_seed = int(np.random.SeedSequence((seed, plan.repeat, fold))
                            .generate_state(1)[0])
-            model = builders[kind](replace(model_cfg, init_seed=run_seed), ds.n_nodes)
+            model = Model(kind, replace(model_cfg, init_seed=run_seed), ds.n_nodes)
             hist = train(model, ds, prop, cfg,
                          train_idx=plan.train_idx(fold), val_idx=plan.folds[fold],
                          seed=run_seed)
@@ -331,7 +331,7 @@ def run_protocol(kind: str, ds: EventDataset, prop: PropagationMatrix,
         train_config=cfg.to_dict(),
         seed=seed,
         n_events=ds.n_events,
-        param_count=Model(kind, model_cfg, ds.n_nodes).param_count(),
+        param_count=model.param_count(),
         runs=runs,
         aggregate=_aggregate([r["metrics"] for r in runs]),
     )

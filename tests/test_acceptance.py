@@ -156,7 +156,7 @@ def sdof_peak_rk4(accel, dt, period, damping=SA_DAMPING, refine=10):
 # shared desk-scale training runs (computed once, used by tests 5 and 6)
 
 DESK_MODEL = dict(conv_filters=(8, 16), conv_kernels=(32, 32), conv_strides=(4, 4),
-                  dtype="f32", l2_coeff=1e-3)
+                  dtype="f32")
 
 
 def _single_split_run(ds, prop, mcfg, tcfg, seed):
@@ -243,10 +243,11 @@ def test_01_gradients_match_finite_differences_at_64bit():
             dense.params() + [xd], tol=1e-4, eps=1e-6)
 
         # full model: forward pass + data term + weight penalty
+        l2_coeff = 1e-3
         cfg = ModelConfig(input_seconds=1, sample_rate_hz=64, channels=2,
                           conv_filters=(2, 3), conv_kernels=(8, 4),
                           conv_strides=(3, 2), gcn_filters=(3, 3),
-                          dense_width=4, l2_coeff=1e-3, dtype="f64",
+                          dense_width=4, dtype="f64",
                           init_seed=seed)
         model = build_tiser_gcn(cfg, n_nodes=3)
         prop = renormalized_adjacency(build_adjacency(random_stations(3, seed=seed), 0.3))
@@ -263,7 +264,7 @@ def test_01_gradients_match_finite_differences_at_64bit():
         def full_loss():
             out = model.forward(prop, x, z)
             return ad.add(ad.mse_loss(out, y),
-                          ad.l2_penalty(model.l2_params(), cfg.l2_coeff))
+                          ad.l2_penalty(model.l2_params(), l2_coeff))
 
         check_gradients(full_loss, model.params(), tol=1e-4, eps=1e-6)
     assert time.monotonic() - started < 120.0
@@ -352,8 +353,9 @@ def test_04_default_model_overfits_eight_events():
     ds = synth_dataset(st, 8, seed=0)
     prop = renormalized_adjacency(build_adjacency(st, 0.3))
     model = build_tiser_gcn(ModelConfig(), ds.n_nodes)
-    cfg = TrainConfig(batch_size=20, max_epochs=500, patience=500, repeats=1)
-    hist = train(model, ds, prop, cfg, seed=0, stop_below_train_loss=0.01)
+    cfg = TrainConfig(batch_size=20, max_epochs=500, patience=500, repeats=1,
+                      stop_below_train_loss=0.01)
+    hist = train(model, ds, prop, cfg, seed=0)
     elapsed = time.monotonic() - started
     assert len(hist.train_loss) <= 500
     assert min(hist.train_loss) < 0.01, \

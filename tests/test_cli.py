@@ -152,6 +152,18 @@ class TestTrainCV:
                      "curves_r0f1.csv"):
             assert (again / name).read_bytes() == (trained / name).read_bytes()
 
+    def test_stop_below_train_loss_ends_every_run(self, workdir, tmp_path):
+        root, _, data_dir = workdir
+        spec = {**TINY_SPEC, "train": {**TINY_SPEC["train"], "max_epochs": 10,
+                                       "stop_below_train_loss": 1e9}}
+        spec_path = root / "spec_stop.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "stop"
+        run_ok(["train", "--spec", str(spec_path), "--dataset", data_dir,
+                "--out", str(out)])
+        runs = json.loads((out / "metrics.json").read_text())["runs"]
+        assert [r["epochs_run"] for r in runs] == [1, 1]
+
     def test_window_flag_changes_data_hash(self, workdir, trained, tmp_path):
         _, spec_path, data_dir = workdir
         out = tmp_path / "w4"
@@ -237,16 +249,6 @@ class TestAblations:
         assert [(r[0], r[1]) for r in rows] == \
                [("tiser", "on"), ("tiser", "off"), ("cnn", "on"), ("cnn", "off")]
 
-    def test_jobs_flag_preserves_output(self, workdir, tmp_path):
-        _, spec_path, data_dir = workdir
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        run_ok(["ablate-k", "--spec", spec_path, "--dataset", data_dir,
-                "--out", str(serial)])
-        run_ok(["ablate-k", "--spec", spec_path, "--dataset", data_dir,
-                "--out", str(parallel), "--jobs", "2"])
-        assert (serial / "ablate_k.csv").read_bytes() == \
-               (parallel / "ablate_k.csv").read_bytes()
-
 
 class TestReport:
     def test_single_dir_reproduces_itself(self, workdir, tmp_path):
@@ -326,6 +328,22 @@ class TestErrorContract:
         rc = main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("user", [
+        {"train": {"x": 1}},
+        {"synth": {"n_station": 5}},
+        {"model": {"kind": "gat"}},
+        {"protocol": "kfold"},
+    ])
+    def test_bad_spec_rejected_before_io(self, tmp_path, capsys, user):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(user))
+        rc = main(["train", "--spec", str(bad), "--dataset", str(tmp_path / "nope"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InputError"
 
     def test_missing_checkpoint(self, workdir, tmp_path, capsys):
         _, spec_path, data_dir = workdir

@@ -1,6 +1,8 @@
 """Model assembly: configuration arithmetic, parameter counts, forward
 shapes, and the checkpoint container format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -212,4 +214,19 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+    def test_config_from_older_version(self, small_cfg, tmp_path):
+        # a stored config with a field ModelConfig no longer has
+        model = build_tiser_gcn(small_cfg, 3)
+        path = tmp_path / "model.tsrg"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        blob_len = int.from_bytes(raw[8:12], "little")
+        meta = json.loads(raw[12:12 + blob_len])
+        meta["cfg"]["l2_coeff"] = 1e-4
+        blob = json.dumps(meta, sort_keys=True).encode()
+        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob
+                         + raw[12 + blob_len:])
+        with pytest.raises(CheckpointFormatError, match="ModelConfig"):
             load_checkpoint(path)

@@ -26,7 +26,7 @@ from tisergcn.train import (
 def tiny_model_cfg(**overrides):
     base = dict(input_seconds=4, conv_filters=(2, 3), conv_kernels=(16, 8),
                 conv_strides=(4, 4), gcn_filters=(4, 4), dense_width=8,
-                dtype="f64", l2_coeff=1e-4)
+                dtype="f64")
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -179,9 +179,9 @@ class TestTrainLoop:
         ds, prop = tiny_setup
         model = build_tiser_gcn(tiny_model_cfg(), 3)
         hist = train(model, ds, prop,
-                     TrainConfig(batch_size=4, max_epochs=50, repeats=1),
-                     train_idx=np.arange(12), val_idx=None, seed=0,
-                     stop_below_train_loss=1e9)
+                     TrainConfig(batch_size=4, max_epochs=50, repeats=1,
+                                 stop_below_train_loss=1e9),
+                     train_idx=np.arange(12), val_idx=None, seed=0)
         assert len(hist.train_loss) == 1  # first epoch already satisfies it
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
