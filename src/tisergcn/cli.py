@@ -16,8 +16,9 @@ import json
 import os
 import sys
 import time
+import typing
 from dataclasses import replace
-from types import SimpleNamespace
+from types import SimpleNamespace, UnionType
 
 import numpy as np
 
@@ -117,7 +118,38 @@ def load_spec(args) -> dict:
         raise InputError(f"unknown model kind {spec['model']['kind']!r}")
     if spec["protocol"] not in ("cv", "single"):
         raise InputError(f"unknown protocol {spec['protocol']!r}")
+    _typed_configs(spec)
     return spec
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value is acceptable for a config field annotated `hint`."""
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    if isinstance(hint, UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _typed_configs(spec: dict) -> tuple[str, ModelConfig, TrainConfig]:
+    """Model kind and typed configs of the spec; a value of the wrong type
+    or out of range is an InputError."""
+    section = dict(spec["model"])
+    kind = section.pop("kind")
+    for cls, values, where in ((ModelConfig, section, "model"),
+                               (TrainConfig, spec["train"], "train")):
+        hints = typing.get_type_hints(cls)
+        for key, val in values.items():
+            if not _fits(val, hints[key]):
+                want = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+                raise InputError(f"spec section {where!r}: {key} must be {want}, got {val!r}")
+    try:
+        return kind, ModelConfig.from_dict(section), TrainConfig.from_dict(spec["train"])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid spec: {exc}") from None
 
 
 def canonical_json(obj) -> str:
@@ -196,12 +228,10 @@ def _load_windowed_dataset(spec: dict):
 
 def _configs(spec: dict, ds) -> tuple[str, ModelConfig, TrainConfig]:
     """Model kind and typed configs; the input shape comes from the dataset."""
-    section = dict(spec["model"])
-    kind = section.pop("kind")
-    cfg = ModelConfig.from_dict(section)
+    kind, cfg, tcfg = _typed_configs(spec)
     cfg = replace(cfg, input_seconds=ds.input_seconds, sample_rate_hz=ds.sample_rate_hz,
                   channels=ds.n_channels)
-    return kind, cfg, TrainConfig.from_dict(spec["train"])
+    return kind, cfg, tcfg
 
 
 def _propagation(spec: dict, ds, cfg: ModelConfig):
@@ -413,8 +443,15 @@ def cmd_report(args) -> int:
         raise InputError("report needs at least one run directory")
     reports = []
     for run_dir in args.runs:
-        with open(os.path.join(run_dir, "metrics.json"), encoding="utf-8") as fh:
-            reports.append((run_dir, json.load(fh)))
+        metrics_path = os.path.join(run_dir, "metrics.json")
+        with open(metrics_path, encoding="utf-8") as fh:
+            try:
+                body = json.load(fh)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise InputError(f"{metrics_path}: invalid JSON: {exc}") from None
+        if not isinstance(body, dict):
+            raise InputError(f"{metrics_path}: not a JSON object")
+        reports.append((run_dir, body))
     hashes = {r[1].get("provenance", {}).get("data_hash") for r in reports}
     if len(hashes) != 1:
         raise InputError(f"run directories mix incompatible datasets: {sorted(map(str, hashes))}")

@@ -210,11 +210,13 @@ class Model:
         return ad.reshape(stacked, (b, len(IM_NAMES), self.n_nodes))
 
     def predict(self, prop, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Single-event forward: x (N, T, C) -> (5, N) log10-domain predictions."""
+        """Single-event forward without a tape: x (N, T, C) -> (5, N) log10-domain
+        predictions."""
         x = np.asarray(x)
         if x.ndim != 3:
             raise ShapeError(f"predict expects (N, T, C), got {x.shape}")
-        return self.forward(prop, x[None], z).data[0]
+        with ad.no_grad():
+            return self.forward(prop, x[None], z).data[0]
 
 
 def build_tiser_gcn(cfg: ModelConfig, n_nodes: int) -> Model:
@@ -256,6 +258,14 @@ def save_checkpoint(model: Model, path) -> None:
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
+def _unpack(fmt: str, raw: bytes, off: int) -> tuple:
+    """struct.unpack_from that reports a short read as a format error."""
+    end = off + struct.calcsize(fmt)
+    if end > len(raw):
+        raise CheckpointFormatError(f"truncated checkpoint at offset {off}")
+    return struct.unpack_from(fmt, raw, off)
+
+
 def load_checkpoint(path) -> Model:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -263,11 +273,11 @@ def load_checkpoint(path) -> Model:
         raise CheckpointFormatError(
             f"bad magic at offset 0: expected {CHECKPOINT_MAGIC!r}, got {raw[:4]!r}")
     off = 4
-    version, = struct.unpack_from("<I", raw, off)
+    version, = _unpack("<I", raw, off)
     off += 4
     if version != CHECKPOINT_VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    blob_len, = struct.unpack_from("<I", raw, off)
+    blob_len, = _unpack("<I", raw, off)
     off += 4
     try:
         meta = json.loads(raw[off:off + blob_len].decode("utf-8"))
@@ -282,15 +292,13 @@ def load_checkpoint(path) -> Model:
     model = Model(meta["kind"], cfg, meta["n_nodes"])
     registry = model.named_params()
     for entry in meta["params"]:
-        if off + 4 > len(raw):
-            raise CheckpointFormatError(f"truncated checkpoint at offset {off}")
-        name_len, = struct.unpack_from("<I", raw, off)
+        name_len, = _unpack("<I", raw, off)
         off += 4
-        name = raw[off:off + name_len].decode("utf-8")
+        name = raw[off:off + name_len].decode("utf-8", errors="replace")
         off += name_len
-        ndim, = struct.unpack_from("<I", raw, off)
+        ndim, = _unpack("<I", raw, off)
         off += 4
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
+        shape = _unpack(f"<{ndim}I", raw, off)
         off += 4 * ndim
         count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
         end = off + 8 * count

@@ -138,10 +138,15 @@ class TrainHistory:
 
 def predict_batched(model: Model, prop: PropagationMatrix, X: np.ndarray,
                     z: np.ndarray, batch_size: int = 32) -> np.ndarray:
-    """Forward pass without a tape, chunked to bound memory: (E, 5, N)."""
+    """Forward pass without a tape, chunked to bound memory: (E, 5, N).
+
+    Runs under ``autodiff.no_grad``, so no op records a tape node and each
+    batch's activations are freed as soon as the next layer has used them.
+    """
     outs = []
-    for lo in range(0, X.shape[0], batch_size):
-        outs.append(model.forward(prop, X[lo:lo + batch_size], z).data)
+    with ad.no_grad():
+        for lo in range(0, X.shape[0], batch_size):
+            outs.append(model.forward(prop, X[lo:lo + batch_size], z).data)
     return np.concatenate(outs).astype(np.float64)
 
 

@@ -187,6 +187,75 @@ class TestGradients:
 
 
 # ---------------------------------------------------------------------------
+# chunked conv1d: the window-matrix cap splits the sequences into chunks
+
+class TestChunkedConv:
+    K, C, F, N = 4, 2, 3, 5
+
+    # (T - K) % stride != 0 for strides 2 and 3, so the last window stops
+    # short of the input's end
+    @pytest.mark.parametrize("stride,T", [(1, 12), (2, 13), (3, 12)])
+    def test_multi_chunk_matches_oracle_and_fd(self, rng, monkeypatch, stride, T):
+        J = (T - self.K) // stride + 1
+        row_bytes = J * self.K * self.C * 8
+        # two sequences per chunk: chunks of 2, 2 and 1
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", 2 * row_bytes)
+        assert [sl.indices(self.N) for sl in ad._chunks(self.N, row_bytes)] == \
+            [(0, 2, 1), (2, 4, 1), (4, 5, 1)]
+        x = rng.standard_normal((self.N, T, self.C))
+        w = rng.standard_normal((self.K, self.C, self.F))
+        got = ad.conv1d(ad.Tensor(x), ad.Tensor(w), stride).data
+        assert np.max(np.abs(got - conv1d_oracle(x, w, stride))) <= 1e-12
+
+        xp, wp = ad.parameter(x), ad.parameter(w)
+        t = rng.standard_normal((self.N, J, self.F))
+        check_gradients(lambda: ad.mse_loss(ad.conv1d(xp, wp, stride), t), [xp, wp])
+
+    def test_chunk_larger_than_cap_holds_one_sequence(self):
+        assert [sl.indices(3) for sl in ad._chunks(3, ad._CHUNK_BYTES + 1)] == \
+            [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+
+class TestNoGrad:
+    def test_ops_record_no_tape_node(self, rng):
+        x = ad.parameter(rng.standard_normal((2, 9, 2)))
+        w = ad.parameter(rng.standard_normal((3, 2, 4)))
+        with ad.no_grad():
+            out = ad.relu(ad.conv1d(x, w, 2))
+        assert out._backward is None
+        assert not out.requires_grad
+        assert out._parents == ()
+        assert ad.relu(ad.conv1d(x, w, 2))._backward is not None
+
+    def test_values_bitwise_equal_to_taped(self, rng):
+        x = rng.standard_normal((3, 16, 2))
+        w = ad.parameter(rng.standard_normal((5, 2, 4)))
+        taped = ad.tanh(ad.conv1d(ad.Tensor(x), w, 2))
+        with ad.no_grad():
+            free = ad.tanh(ad.conv1d(ad.Tensor(x), w, 2))
+        assert taped._backward is not None
+        assert np.array_equal(free.data, taped.data)
+
+    def test_state_restored_after_exception(self, rng):
+        p = ad.parameter(rng.standard_normal((2, 2)))
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside no_grad")
+        assert ad.relu(p)._backward is not None
+
+    def test_nested_contexts_restore_outer_state(self, rng):
+        p = ad.parameter(rng.standard_normal((2, 2)))
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert ad.relu(p)._backward is None
+        assert ad.relu(p)._backward is not None
+
+
+# ---------------------------------------------------------------------------
 # engine mechanics
 
 class TestEngine:

@@ -334,12 +334,43 @@ class TestErrorContract:
         {"synth": {"n_station": 5}},
         {"model": {"kind": "gat"}},
         {"protocol": "kfold"},
+        {"train": {"batch_size": "8"}},
+        {"train": {"batch_size": 0}},
+        {"train": {"lr": "0.1"}},
+        {"train": {"stop_below_train_loss": True}},
+        {"model": {"conv_filters": [8, "16"]}},
+        {"model": {"use_metadata": 1}},
+        {"model": {"dense_width": 8.5}},
     ])
     def test_bad_spec_rejected_before_io(self, tmp_path, capsys, user):
+        # the dataset directory does not exist: reading it would be a
+        # DatasetFormatError, so an InputError shows it was never read
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(user))
         rc = main(["train", "--spec", str(bad), "--dataset", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "o")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InputError"
+
+    def test_spec_value_types_accepted(self, workdir, tmp_path):
+        # an int where a float is declared, null for an optional float, and
+        # JSON lists for tuple fields all load
+        _, _, data_dir = workdir
+        spec = {**TINY_SPEC, "train": {**TINY_SPEC["train"], "lr": 1,
+                                       "stop_below_train_loss": None}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        run_ok(["build-graph", "--spec", str(path), "--dataset", data_dir,
+                "--out", str(tmp_path / "g")])
+
+    @pytest.mark.parametrize("text", ["{not json", "[]"])
+    def test_report_corrupt_metrics_json(self, tmp_path, capsys, text):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.json").write_text(text)
+        rc = main(["report", "--out", str(tmp_path / "o"), str(run_dir)])
         assert rc == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1

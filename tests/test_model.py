@@ -208,6 +208,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    def test_every_truncation_is_a_format_error(self, tmp_path):
+        cfg = ModelConfig(input_seconds=1, sample_rate_hz=20, conv_filters=(2, 2),
+                          conv_kernels=(4, 4), conv_strides=(2, 2), gcn_filters=(2, 2),
+                          dense_width=4)
+        path = tmp_path / "model.tsrg"
+        save_checkpoint(build_tiser_gcn(cfg, 3), path)
+        raw = path.read_bytes()
+        cut_path = tmp_path / "cut.tsrg"
+        for cut in range(len(raw)):
+            cut_path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointFormatError):
+                load_checkpoint(cut_path)
+
     def test_trailing_garbage(self, small_cfg, tmp_path):
         model = build_tiser_gcn(small_cfg, 3)
         path = tmp_path / "model.tsrg"

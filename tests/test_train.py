@@ -194,6 +194,28 @@ class TestTrainLoop:
                   train_idx=np.arange(12), val_idx=None, seed=0)
 
 
+class TestPredictBatched:
+    def test_records_no_tape_and_matches_taped_forward(self, tiny_setup, monkeypatch):
+        ds, prop = tiny_setup
+        model = build_tiser_gcn(tiny_model_cfg(), 3)
+        z = ds.stations.coords()
+        taped = model.forward(prop, ds.X[:4], z)
+        assert taped._backward is not None
+
+        closures = []
+        node = ad._node
+
+        def spy(data, parents, backward_fn):
+            out = node(data, parents, backward_fn)
+            closures.append(out._backward)
+            return out
+
+        monkeypatch.setattr(ad, "_node", spy)
+        pred = predict_batched(model, prop, ds.X[:4], z, batch_size=4)
+        assert closures and all(c is None for c in closures)
+        assert np.array_equal(pred, taped.data)
+
+
 class TestMetrics:
     def test_perfect_prediction_is_zero(self, rng):
         y = rng.standard_normal((4, 5, 3))
