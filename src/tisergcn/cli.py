@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -118,6 +119,7 @@ def load_spec(args) -> dict:
         raise InputError(f"unknown model kind {spec['model']['kind']!r}")
     if spec["protocol"] not in ("cv", "single"):
         raise InputError(f"unknown protocol {spec['protocol']!r}")
+    _check_data_values(spec)
     _typed_configs(spec)
     return spec
 
@@ -134,18 +136,57 @@ def _fits(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
+def _check_types(values: dict, hints: dict, where: str) -> None:
+    for key, val in values.items():
+        if key in hints and not _fits(val, hints[key]):
+            want = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+            raise InputError(f"{where}: {key} must be {want}, got {val!r}")
+
+
+# declared types of the spec values outside the `model` and `train` sections
+_TOP_TYPES = {"dataset": str | None, "graph_k": float, "window_seconds": int | None,
+              "seed": int}
+_SYNTH_TYPES = {"n_stations": int, "n_events": int, "station_seed": int,
+                "input_seconds": int, "total_seconds": float, "sample_rate_hz": int,
+                "noise_amp": float, "mag_range": tuple[float, ...], "site_amp": float}
+
+
+def _check_data_values(spec: dict) -> None:
+    """Type- and range-check the top-level values and the `synth` section;
+    a failure is an InputError."""
+    _check_types(spec, _TOP_TYPES, "spec")
+    s = spec["synth"]
+    _check_types(s, _SYNTH_TYPES, "spec section 'synth'")
+    mags = s["mag_range"]
+    limits = (
+        ("graph_k must be in [0, 1]", 0.0 <= spec["graph_k"] <= 1.0),
+        ("window_seconds must be in [4, 10]",
+         spec["window_seconds"] is None or 4 <= spec["window_seconds"] <= 10),
+        ("seed must be >= 0", spec["seed"] >= 0),
+        ("synth.n_stations must be >= 2", s["n_stations"] >= 2),
+        ("synth.n_events must be >= 1", s["n_events"] >= 1),
+        ("synth.station_seed must be >= 0", s["station_seed"] >= 0),
+        ("synth.input_seconds must be >= 1", s["input_seconds"] >= 1),
+        ("synth.total_seconds must be finite and exceed input_seconds",
+         s["input_seconds"] < s["total_seconds"] < math.inf),
+        ("synth.sample_rate_hz must be >= 1", s["sample_rate_hz"] >= 1),
+        ("synth.noise_amp must be finite and >= 0", 0.0 <= s["noise_amp"] < math.inf),
+        ("synth.mag_range must be two finite, ordered magnitudes",
+         len(mags) == 2 and all(map(math.isfinite, mags)) and mags[0] <= mags[1]),
+        ("synth.site_amp must be finite", math.isfinite(s["site_amp"])),
+    )
+    for message, ok in limits:
+        if not ok:
+            raise InputError(f"invalid spec: {message}")
+
+
 def _typed_configs(spec: dict) -> tuple[str, ModelConfig, TrainConfig]:
     """Model kind and typed configs of the spec; a value of the wrong type
     or out of range is an InputError."""
     section = dict(spec["model"])
     kind = section.pop("kind")
-    for cls, values, where in ((ModelConfig, section, "model"),
-                               (TrainConfig, spec["train"], "train")):
-        hints = typing.get_type_hints(cls)
-        for key, val in values.items():
-            if not _fits(val, hints[key]):
-                want = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
-                raise InputError(f"spec section {where!r}: {key} must be {want}, got {val!r}")
+    _check_types(section, typing.get_type_hints(ModelConfig), "spec section 'model'")
+    _check_types(spec["train"], typing.get_type_hints(TrainConfig), "spec section 'train'")
     try:
         return kind, ModelConfig.from_dict(section), TrainConfig.from_dict(spec["train"])
     except (TypeError, ValueError) as exc:

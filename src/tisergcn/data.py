@@ -13,6 +13,7 @@ far-station targets genuinely depend on the hidden continuation.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -34,6 +35,16 @@ from .model import IM_NAMES
 SA_PERIODS_S = (0.3, 1.0, 3.0)
 SA_DAMPING = 0.05
 LOG_EPS = 1e-12
+
+# Byte budget for the f64 waveforms that synth_dataset and compute_ims_batch
+# hold at once (at least one event or waveform), and for each of the two
+# working buffers of the Newmark kernel.  On 2 cores with 2 MB of L2 each,
+# labels took the same time at 1-4 MB once warm and 50% longer at 8 MB; in
+# a fresh process 3-4 MB buffers were mapped anew on every call (6,000 page
+# faults per 20-station event) where 1 MB ones were reused.
+_CHUNK_BYTES = 1 << 20
+# Steps per block of the blocked Newmark recursion.
+_NEWMARK_BLOCK = 32
 
 # synthetic source model
 V_P_KM_S = 6.0
@@ -135,18 +146,19 @@ def truncate_dataset(ds: EventDataset, seconds: int) -> EventDataset:
 # ---------------------------------------------------------------------------
 # intensity measures
 
-def _newmark_peak_abs_accel(accel: np.ndarray, dt: float, period: float,
-                            damping: float = SA_DAMPING) -> np.ndarray:
-    """Peak |absolute acceleration| of a damped SDOF oscillator, per row.
+@functools.lru_cache(maxsize=32)
+def _newmark_operators(dt: float, period: float, damping: float):
+    """Block operators of the average-acceleration recursion (gamma = 1/2,
+    beta = 1/4) for blocks of L = _NEWMARK_BLOCK steps.
 
-    accel: (..., T) ground acceleration.  Fixed-step average-acceleration
-    recursion (gamma = 1/2, beta = 1/4), vectorized over leading axes.
+    The state s = (u, v, acc) of the oscillator under p = -accel steps as
+    s' = M s + b dp with dp the increment of p, and the absolute
+    acceleration is r = h s with h = (k, c, 0).  Returns, for row vectors:
+    G (L, L), G[m, j] = h M^(j-m) b for m <= j: response at step j of a
+    block to its input m; H (3, L), H[:, j] = h M^(j+1): response to the
+    block-start state; E (L, 3), E[m] = M^(L-1-m) b: block-end state from
+    input m; and (M^L)^T, which carries a block-start state to the next.
     """
-    accel = np.asarray(accel, dtype=np.float64)
-    lead = accel.shape[:-1]
-    p = -accel.reshape(-1, accel.shape[-1])
-    rows, t_len = p.shape
-
     gamma, beta = 0.5, 0.25
     omega = 2.0 * math.pi / period
     c = 2.0 * damping * omega
@@ -154,30 +166,105 @@ def _newmark_peak_abs_accel(accel: np.ndarray, dt: float, period: float,
     k_eff = k + gamma / (beta * dt) * c + 1.0 / (beta * dt * dt)
     ca = 1.0 / (beta * dt) + (gamma / beta) * c
     cb = 1.0 / (2.0 * beta) + dt * (gamma / (2.0 * beta) - 1.0) * c
+    # one step adds (du, dv, dacc) to s, with du = e . s + dp / k_eff and
+    # dv, dacc linear in du and s
+    e = np.array([0.0, ca, cb]) / k_eff
+    M = np.eye(3) + np.array([
+        e,
+        (gamma / (beta * dt)) * e + [0.0, -gamma / beta, dt * (1.0 - gamma / (2.0 * beta))],
+        e / (beta * dt * dt) + [0.0, -1.0 / (beta * dt), -1.0 / (2.0 * beta)],
+    ])
+    b = np.array([1.0, gamma / (beta * dt), 1.0 / (beta * dt * dt)]) / k_eff
+    h = np.array([k, c, 0.0])
 
-    u = np.zeros(rows)
-    v = np.zeros(rows)
-    acc = p[:, 0].copy()
-    peak = np.abs(c * v + k * u)
-    for i in range(t_len - 1):
-        dp = p[:, i + 1] - p[:, i]
-        du = (dp + ca * v + cb * acc) / k_eff
-        dv = (gamma / (beta * dt)) * du - (gamma / beta) * v \
-            + dt * (1.0 - gamma / (2.0 * beta)) * acc
-        dacc = du / (beta * dt * dt) - v / (beta * dt) - acc / (2.0 * beta)
-        u += du
-        v += dv
-        acc += dacc
-        np.maximum(peak, np.abs(c * v + k * u), out=peak)
+    L = _NEWMARK_BLOCK
+    powers = [np.eye(3)]
+    for _ in range(L):
+        powers.append(M @ powers[-1])
+    impulse = np.array([h @ powers[j] @ b for j in range(L)])
+    lag = np.subtract.outer(np.arange(L), np.arange(L))     # [m, j] -> m - j
+    G = np.where(lag <= 0, impulse[np.maximum(-lag, 0)], 0.0)
+    H = np.stack([h @ powers[j + 1] for j in range(L)], axis=1)
+    E = np.stack([powers[L - 1 - m] @ b for m in range(L)])
+    ops = (G, H, E, np.ascontiguousarray(powers[L].T))
+    for op in ops:                  # cached and shared by every caller
+        op.flags.writeable = False
+    return ops
+
+
+def _newmark_peak_abs_accel(accel: np.ndarray, dt: float, period: float,
+                            damping: float = SA_DAMPING) -> np.ndarray:
+    """Peak |absolute acceleration| of a damped SDOF oscillator, per row.
+
+    accel: (..., T) ground acceleration.  Fixed-step average-acceleration
+    recursion (gamma = 1/2, beta = 1/4) from rest, run exactly in blocks
+    of L steps: one GEMM with the Toeplitz impulse response gives each
+    block's response to its own inputs, another its end state, a scan by
+    doubling chains the block-start states, and a rank-3 GEMM adds their
+    free response.  The peak runs over the T - 1 steps only, not the
+    padding of the last block.  Rows are taken in chunks of about
+    _CHUNK_BYTES of f64 through two reused buffers of that size.
+    """
+    accel = np.asarray(accel)
+    lead, steps = accel.shape[:-1], accel.shape[-1] - 1
+    # (items, rows per item, T); a view for the per-channel view of a
+    # contiguous (..., T, C) array
+    x = accel.reshape(-1, *accel.shape[-2:]) if accel.ndim > 2 else \
+        accel.reshape(-1, 1, accel.shape[-1])
+    peak = np.zeros(x.shape[:2])
+    if steps < 1 or peak.size == 0:
+        return peak.reshape(lead)
+    L = _NEWMARK_BLOCK
+    blocks = -(-steps // L)
+    G, H, E, A0 = _newmark_operators(float(dt), float(period), float(damping))
+
+    item_size = x.shape[1] * blocks * L
+    step = max(1, _CHUNK_BYTES // (8 * item_size))
+    dp_buf = np.empty(min(step, x.shape[0]) * item_size)
+    r_buf = np.empty_like(dp_buf)
+    for lo in range(0, x.shape[0], step):
+        a = np.asarray(x[lo:lo + step], dtype=np.float64)
+        rows = a.shape[0] * a.shape[1]
+        # increments of p = -accel, zero-padded to whole blocks (the reused
+        # buffer must not carry a non-finite value into the zeros of G)
+        dp = dp_buf[:rows * blocks * L].reshape(a.shape[:2] + (blocks * L,))
+        np.subtract(a[..., :-1], a[..., 1:], out=dp[..., :steps])
+        dp[..., steps:] = 0.0
+        dp = dp.reshape(-1, L)
+        # block-start states s (blocks, rows, 3): at rest with acc = p_0,
+        # then s_b = M^L s_(b-1) + dp_(b-1) E, summed by a doubling scan
+        s = np.zeros((blocks, rows, 3))
+        s[0, :, 2] = -a[..., 0].reshape(rows)
+        s[1:] = (dp @ E).reshape(rows, blocks, 3)[:, :-1].transpose(1, 0, 2)
+        flat = s.reshape(-1, 3)
+        A, d = A0, 1
+        while d < blocks:
+            flat[d * rows:] += flat[:-d * rows] @ A
+            A = A @ A
+            d *= 2
+        r = np.matmul(dp, G, out=r_buf[:dp.size].reshape(dp.shape))
+        r += np.matmul(s.transpose(1, 0, 2).reshape(-1, 3), H, out=dp)
+        np.abs(r, out=r)
+        peak[lo:lo + step] = r.reshape(a.shape[:2] + (blocks * L,))[..., :steps].max(axis=-1)
     return peak.reshape(lead)
 
 
-def _cumtrapz(a: np.ndarray, dt: float) -> np.ndarray:
-    """Cumulative trapezoidal integral along the second-to-last axis, v[0] = 0."""
-    inc = 0.5 * dt * (a[..., 1:, :] + a[..., :-1, :])
-    v = np.zeros_like(a)
-    np.cumsum(inc, axis=-2, out=v[..., 1:, :])
-    return v
+def _peak_ground_motion(w: np.ndarray, dt: float) -> np.ndarray:
+    """(PGA, PGV) of waveforms (n, T, C), taken in chunks of about
+    _CHUNK_BYTES of f64 with one reused velocity buffer."""
+    out = np.empty((w.shape[0], 2))
+    step = max(1, _CHUNK_BYTES // (8 * w.shape[1] * w.shape[2]))
+    vel = np.empty((min(step, w.shape[0]), w.shape[1] - 1, w.shape[2]))
+    for lo in range(0, w.shape[0], step):
+        x = np.asarray(w[lo:lo + step], dtype=np.float64)
+        out[lo:lo + step, 0] = np.maximum(x.max(axis=(1, 2)), -x.min(axis=(1, 2)))
+        # trapezoid rule from v[0] = 0, which bounds the peak below by 0
+        v = vel[:x.shape[0]]
+        np.add(x[:, 1:], x[:, :-1], out=v)
+        v *= 0.5 * dt
+        np.cumsum(v, axis=1, out=v)
+        out[lo:lo + step, 1] = np.maximum(np.maximum(v.max(axis=(1, 2)), -v.min(axis=(1, 2))), 0.0)
+    return out
 
 
 def compute_ims_batch(w: np.ndarray, dt: float) -> np.ndarray:
@@ -185,20 +272,23 @@ def compute_ims_batch(w: np.ndarray, dt: float) -> np.ndarray:
 
     Channels are accelerations; PGA and SA take the max over channels,
     PGV integrates each channel first.  Column order matches IM_NAMES.
+    PGA and PGV, and each SA period, take the waveforms in chunks of
+    about _CHUNK_BYTES of f64 (at least one waveform each), so the working
+    memory beyond the input stays a small multiple of that budget.
     """
-    if dt <= 0:
-        raise InputError(f"dt must be positive, got {dt}")
-    w = np.asarray(w, dtype=np.float64)
+    if not (math.isfinite(dt) and dt > 0):
+        raise InputError(f"dt must be positive and finite, got {dt}")
+    w = np.asarray(w)
     if w.ndim < 2 or w.shape[-2] < 2:
         raise InputError(f"waveform needs at least 2 samples, got shape {w.shape}")
-    pga = np.abs(w).max(axis=(-2, -1))
-    pgv = np.abs(_cumtrapz(w, dt)).max(axis=(-2, -1))
-    per_channel = np.moveaxis(w, -1, -2)  # (..., C, T)
-    sas = [
-        _newmark_peak_abs_accel(per_channel, dt, period).max(axis=-1)
-        for period in SA_PERIODS_S
-    ]
-    return np.stack([pga, pgv, *sas], axis=-1)
+    lead = w.shape[:-2]
+    w = w.reshape(-1, *w.shape[-2:])
+    out = np.empty((w.shape[0], len(IM_NAMES)))
+    out[:, :2] = _peak_ground_motion(w, dt)
+    per_channel = np.moveaxis(w, -1, -2)  # (n, C, T)
+    for col, period in enumerate(SA_PERIODS_S, start=2):
+        out[:, col] = _newmark_peak_abs_accel(per_channel, dt, period).max(axis=-1)
+    return out.reshape(lead + (len(IM_NAMES),))
 
 
 def compute_ims(w: np.ndarray, dt: float) -> tuple[float, float, float, float, float]:
@@ -323,6 +413,8 @@ def synth_dataset(stations: StationSet, n_events: int, seed: int,
     """
     if n_events < 1:
         raise InputError(f"n_events must be >= 1, got {n_events}")
+    if sample_rate_hz < 1:
+        raise InputError(f"sample_rate_hz must be >= 1, got {sample_rate_hz}")
     if total_seconds <= input_seconds:
         raise InputError("total_seconds must exceed input_seconds so labels stay partly hidden")
     if not mag_range[0] <= mag_range[1]:
@@ -350,22 +442,22 @@ def synth_dataset(stations: StationSet, n_events: int, seed: int,
 
     n = len(stations)
     window = input_seconds * sample_rate_hz
+    t_len = int(round(total_seconds * sample_rate_hz))
     dt = 1.0 / sample_rate_hz
     X = np.empty((n_events, n, window, 3), dtype=np.float32)
     Y = np.empty((n_events, len(IM_NAMES), n), dtype=np.float32)
 
-    chunk = max(1, min(n_events, 64))
+    # events per chunk: as many full-length f64 waveforms as fit the budget
+    chunk = max(1, _CHUNK_BYTES // (8 * n * t_len * 3))
     for lo in range(0, n_events, chunk):
         hi = min(lo + chunk, n_events)
-        wave = np.stack([
-            synth_event_waveforms(stations, events[e], total_seconds,
-                                  sample_rate_hz, noise_amp, site_amp)
-            for e in range(lo, hi)
-        ])
+        wave = np.empty((hi - lo, n, t_len, 3))
+        for e in range(lo, hi):
+            wave[e - lo] = synth_event_waveforms(stations, events[e], total_seconds,
+                                                 sample_rate_hz, noise_amp, site_amp)
+            X[e], _ = normalize_by_input_max(wave[e - lo, :, :window, :])
         ims = compute_ims_batch(wave, dt)                       # (chunk, N, 5)
         Y[lo:hi] = np.log10(ims + LOG_EPS).transpose(0, 2, 1)
-        for e in range(lo, hi):
-            X[e], _ = normalize_by_input_max(wave[e - lo, :, :window, :])
     ds = EventDataset(stations=stations, X=X, Y=Y, sample_rate_hz=sample_rate_hz)
     ds.validate()
     return ds

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,32 +63,34 @@ def _check_coords(lat: float, lon: float) -> None:
         raise InputError(f"coordinates out of range: lat={lat}, lon={lon}")
 
 
+def _haversine_km(lat1, lon1, lat2, lon2):
+    """Haversine great-circle distance on a spherical earth, elementwise
+    over broadcast numpy arrays of degrees."""
+    dphi = np.radians(lat2 - lat1)
+    dlmb = np.radians(lon2 - lon1)
+    a = np.sin(dphi / 2) ** 2 \
+        + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * np.sin(dlmb / 2) ** 2
+    return EARTH_RADIUS_KM * 2 * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+
+
 def geodesic_km(p1: tuple[float, float], p2: tuple[float, float]) -> float:
     """Great-circle distance in km between two (lat, lon) points in degrees.
 
     Spherical earth, haversine formula.  Symmetric; zero iff the points
     coincide.
     """
-    lat1, lon1 = p1
-    lat2, lon2 = p2
-    _check_coords(lat1, lon1)
-    _check_coords(lat2, lon2)
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlmb = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2) ** 2
-    return EARTH_RADIUS_KM * 2 * math.asin(min(1.0, math.sqrt(a)))
+    _check_coords(*p1)
+    _check_coords(*p2)
+    return float(_haversine_km(*p1, *p2))
 
 
 def pairwise_distances_km(stations: StationSet) -> np.ndarray:
-    """(N, N) symmetric matrix of pairwise great-circle distances."""
-    n = len(stations)
-    coords = stations.coords()
-    d = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = geodesic_km(tuple(coords[i]), tuple(coords[j]))
-    return d
+    """(N, N) symmetric matrix of pairwise great-circle distances;
+    entry [i, j] equals ``geodesic_km`` of stations i and j."""
+    lat, lon = stations.coords().T
+    for la, lo in zip(lat, lon):
+        _check_coords(la, lo)
+    return _haversine_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,13 @@ def load_stations_csv(path) -> StationSet:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames[:3]] != ["id", "lat", "lon"]:
             raise InputError(f"{path}: expected CSV header 'id,lat,lon'")
-        rows = [(row["id"], float(row["lat"]), float(row["lon"])) for row in reader]
+        rows = []
+        for row in reader:
+            try:
+                rows.append((row["id"], float(row["lat"]), float(row["lon"])))
+            except (TypeError, ValueError):
+                raise InputError(f"{path}: line {reader.line_num}: lat and lon must be "
+                                 f"numbers, got {row['lat']!r}, {row['lon']!r}") from None
     return StationSet.from_pairs(rows)
 
 

@@ -341,6 +341,20 @@ class TestErrorContract:
         {"model": {"conv_filters": [8, "16"]}},
         {"model": {"use_metadata": 1}},
         {"model": {"dense_width": 8.5}},
+        {"graph_k": "abc"},
+        {"graph_k": 1.5},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"window_seconds": 3},
+        {"window_seconds": "8"},
+        {"synth": {"n_events": "5"}},
+        {"synth": {"n_events": 0}},
+        {"synth": {"sample_rate_hz": 0}},
+        {"synth": {"total_seconds": 10}},
+        {"synth": {"mag_range": [5.0]}},
+        {"synth": {"mag_range": [5.0, 4.0]}},
+        {"synth": {"noise_amp": -1.0}},
+        {"synth": {"site_amp": True}},
     ])
     def test_bad_spec_rejected_before_io(self, tmp_path, capsys, user):
         # the dataset directory does not exist: reading it would be a
@@ -353,6 +367,25 @@ class TestErrorContract:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "InputError"
+
+    @pytest.mark.parametrize("command,user", [
+        ("build-graph", {"graph_k": "abc"}),
+        ("synth", {"synth": {"sample_rate_hz": 0}}),
+        ("synth", {"dataset": 5}),
+    ])
+    def test_data_values_rejected_as_input_error(self, workdir, tmp_path, capsys,
+                                                 command, user):
+        _, _, data_dir = workdir
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**TINY_SPEC, **user,
+                                   "synth": {**TINY_SPEC["synth"], **user.get("synth", {})}}))
+        argv = [command, "--spec", str(bad), "--out", str(tmp_path / "o")]
+        if command == "build-graph":
+            argv += ["--dataset", data_dir]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
+        assert not (tmp_path / "o").exists()
 
     def test_spec_value_types_accepted(self, workdir, tmp_path):
         # an int where a float is declared, null for an optional float, and

@@ -3,10 +3,12 @@ generator's physical invariants, and the on-disk container format."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tisergcn import data
 from tisergcn.data import (
     DEFAULT_NOISE_AMP,
     EventDataset,
@@ -15,6 +17,7 @@ from tisergcn.data import (
     SA_PERIODS_S,
     SynthEvent,
     V_P_KM_S,
+    _newmark_peak_abs_accel,
     _station_distances_km,
     compute_ims,
     compute_ims_batch,
@@ -68,6 +71,133 @@ def sdof_peak_rk4(accel, dt, period, damping=SA_DAMPING, refine=10):
         v += h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
         peak = max(peak, abs(c * v + k * u))
     return peak
+
+
+# ---------------------------------------------------------------------------
+# step-by-step oracle for the blocked Newmark kernel: the average-acceleration
+# recursion (gamma = 1/2, beta = 1/4) one sample at a time, vectorized over rows
+
+def newmark_peak_step_loop(accel, dt, period, damping=SA_DAMPING):
+    accel = np.asarray(accel, dtype=np.float64)
+    lead = accel.shape[:-1]
+    p = -accel.reshape(-1, accel.shape[-1])
+    rows, t_len = p.shape
+
+    gamma, beta = 0.5, 0.25
+    omega = 2.0 * math.pi / period
+    c = 2.0 * damping * omega
+    k = omega * omega
+    k_eff = k + gamma / (beta * dt) * c + 1.0 / (beta * dt * dt)
+    ca = 1.0 / (beta * dt) + (gamma / beta) * c
+    cb = 1.0 / (2.0 * beta) + dt * (gamma / (2.0 * beta) - 1.0) * c
+
+    u = np.zeros(rows)
+    v = np.zeros(rows)
+    acc = p[:, 0].copy()
+    peak = np.abs(c * v + k * u)
+    for i in range(t_len - 1):
+        dp = p[:, i + 1] - p[:, i]
+        du = (dp + ca * v + cb * acc) / k_eff
+        dv = (gamma / (beta * dt)) * du - (gamma / beta) * v \
+            + dt * (1.0 - gamma / (2.0 * beta)) * acc
+        dacc = du / (beta * dt * dt) - v / (beta * dt) - acc / (2.0 * beta)
+        u += du
+        v += dv
+        acc += dacc
+        np.maximum(peak, np.abs(c * v + k * u), out=peak)
+    return peak.reshape(lead)
+
+
+BLOCK = data._NEWMARK_BLOCK
+
+
+class TestBlockedNewmark:
+    @pytest.mark.parametrize("period", SA_PERIODS_S)
+    @pytest.mark.parametrize("dt", [0.01, 0.04])
+    @pytest.mark.parametrize("t_len", [2, BLOCK - 1, BLOCK, BLOCK + 1, 6000])
+    def test_matches_step_loop(self, rng, period, dt, t_len):
+        accel = rng.standard_normal((4, t_len))
+        got = _newmark_peak_abs_accel(accel, dt, period)
+        want = newmark_peak_step_loop(accel, dt, period)
+        assert got.shape == (4,)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+    @pytest.mark.parametrize("period", SA_PERIODS_S)
+    def test_resonant_sine_matches_step_loop(self, period):
+        dt = 0.01
+        t = np.arange(0, 20.0 * period, dt)
+        accel = np.sin(2 * math.pi / period * t)[None, :]
+        got = _newmark_peak_abs_accel(accel, dt, period)
+        want = newmark_peak_step_loop(accel, dt, period)
+        assert abs(got[0] - want[0]) <= 1e-10 * want[0]
+
+    def test_zero_input_gives_zero(self):
+        assert np.array_equal(_newmark_peak_abs_accel(np.zeros((3, 500)), 0.01, 1.0),
+                              np.zeros(3))
+
+    def test_leading_axes_and_strided_input(self, rng):
+        w = rng.standard_normal((3, 2, 300, 3))
+        per_channel = np.moveaxis(w, -1, -2)              # (3, 2, 3, 300), strided
+        got = _newmark_peak_abs_accel(per_channel, 0.01, 0.3)
+        want = newmark_peak_step_loop(per_channel, 0.01, 0.3)
+        assert got.shape == (3, 2, 3)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+        one = _newmark_peak_abs_accel(w[1, 0, :, 2], 0.01, 0.3)
+        assert one.shape == () and abs(one - want[1, 0, 2]) <= 1e-10 * want[1, 0, 2]
+
+
+class TestBoundedChunks:
+    # T - 1 is a whole number of blocks, so a budget of n waveforms gives
+    # chunks of n waveforms in both the PGA/PGV loop and the SA kernel
+    T = 6 * BLOCK + 1
+
+    @pytest.mark.parametrize("per_chunk", [1, 2])
+    def test_chunked_ims_match_one_chunk(self, monkeypatch, per_chunk):
+        # a fresh input per case, so no freed buffer holds the right answer
+        w = np.random.default_rng(per_chunk).standard_normal((5, self.T, 3))
+        # chunks of 1 waveform, or of 2, 2 and 1
+        monkeypatch.setattr(data, "_CHUNK_BYTES", per_chunk * 8 * self.T * 3)
+        chunked = compute_ims_batch(w, 0.01)
+        pga = np.abs(w).max(axis=(1, 2))
+        pgv = np.abs(np.cumsum(0.5 * 0.01 * (w[:, 1:] + w[:, :-1]), axis=1)).max(axis=(1, 2))
+        assert np.array_equal(chunked[:, 0], pga) and np.array_equal(chunked[:, 1], pgv)
+        rows = w.transpose(0, 2, 1).reshape(15, self.T)
+        sa = np.stack([newmark_peak_step_loop(rows, 0.01, p).reshape(5, 3).max(axis=1)
+                       for p in SA_PERIODS_S], axis=1)
+        assert np.all(np.abs(chunked[:, 2:] - sa) <= 1e-10 * sa)
+        monkeypatch.undo()
+        assert np.allclose(chunked, compute_ims_batch(w, 0.01), rtol=1e-13, atol=0)
+
+    def test_chunked_kernel_on_rows(self, rng, monkeypatch):
+        accel = rng.standard_normal((5, self.T))
+        want = newmark_peak_step_loop(accel, 0.01, 1.0)
+        for per_chunk in (1, 2):
+            monkeypatch.setattr(data, "_CHUNK_BYTES", per_chunk * 8 * (self.T - 1))
+            got = _newmark_peak_abs_accel(accel, 0.01, 1.0)
+            assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+    def test_non_finite_row_stays_in_its_row(self, rng, monkeypatch):
+        # rows share the kernel's buffers from chunk to chunk, padding too
+        accel = rng.standard_normal((3, self.T + 5))
+        accel[0, 7] = np.inf
+        monkeypatch.setattr(data, "_CHUNK_BYTES", 8 * 7 * BLOCK)   # one padded row
+        with np.errstate(invalid="ignore"):
+            got = _newmark_peak_abs_accel(accel, 0.01, 1.0)
+        assert not np.isfinite(got[0])
+        assert np.allclose(got[1:], _newmark_peak_abs_accel(accel[1:], 0.01, 1.0),
+                           rtol=1e-13, atol=0)
+
+    def test_memory_stays_within_budget(self, rng):
+        w = rng.standard_normal((60, 10, 6000, 3))
+        compute_ims_batch(w[:1, :1], 0.01)                 # operators cached
+        tracemalloc.start()
+        try:
+            out = compute_ims_batch(w, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (60, 10, 5)
+        assert peak <= 3 * data._CHUNK_BYTES
 
 
 class TestIntensityMeasures:
@@ -150,6 +280,11 @@ class TestIntensityMeasures:
             compute_ims_batch(np.zeros((1, 3)), 0.01)
         with pytest.raises(InputError):
             compute_ims(np.zeros((100,)), 0.01)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -0.01])
+    def test_non_finite_or_negative_dt_rejected(self, dt):
+        with pytest.raises(InputError):
+            compute_ims_batch(np.ones((2, 100, 3)), dt)
 
 
 class TestNormalization:
@@ -331,6 +466,12 @@ class TestSynthDataset:
             synth_dataset(st, 0, seed=1)
         with pytest.raises(InputError):
             synth_dataset(st, 5, seed=1, input_seconds=10, total_seconds=10.0)
+
+    def test_sample_rate_below_one_rejected(self):
+        st = random_stations(3, seed=3)
+        for rate in (0, -100):
+            with pytest.raises(InputError):
+                synth_dataset(st, 2, seed=1, sample_rate_hz=rate)
 
     def test_narrow_mag_range_respected(self):
         # stations close enough that every trace receives the slow arrival

@@ -65,6 +65,28 @@ def test_pairwise_matrix_matches_scalar(rng):
                 geodesic_km(tuple(coords[i]), tuple(coords[j])), abs=0.0)
 
 
+def haversine_math_km(p1, p2):
+    # the scalar haversine on the math module, independent of numpy
+    phi1, phi2 = math.radians(p1[0]), math.radians(p2[0])
+    dphi = math.radians(p2[0] - p1[0])
+    dlmb = math.radians(p2[1] - p1[1])
+    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2) ** 2
+    return EARTH_RADIUS_KM * 2 * math.asin(min(1.0, math.sqrt(a)))
+
+
+def test_pairwise_matrix_matches_math_haversine(rng):
+    pts = [(f"s{i}", rng.uniform(-89, 89), rng.uniform(-179, 179)) for i in range(30)]
+    pts += [("near", 42.0, 13.0), ("nearer", 42.0 + 1e-7, 13.0)]
+    st = StationSet.from_pairs(pts)
+    d = pairwise_distances_km(st)
+    coords = st.coords()
+    for i in range(len(pts)):
+        for j in range(len(pts)):
+            want = haversine_math_km(coords[i], coords[j])
+            assert abs(d[i, j] - want) <= 1e-12 * want
+    assert np.array_equal(d, d.T)
+
+
 # ---------------------------------------------------------------------------
 # station sets
 
@@ -84,6 +106,15 @@ def test_stations_csv_roundtrip(tmp_path):
     back = load_stations_csv(path)
     assert back.ids == st.ids
     assert np.array_equal(back.coords(), st.coords())
+
+
+@pytest.mark.parametrize("row", ["S001,abc,13.79", "S001,42.1,", "S001,42.1"])
+def test_stations_csv_non_numeric_coordinate(tmp_path, row):
+    path = tmp_path / "stations.csv"
+    path.write_text(f"id,lat,lon\nS000,42.0,13.0\n{row}\n")
+    with pytest.raises(InputError) as exc:
+        load_stations_csv(path)
+    assert str(path) in str(exc.value) and "line 3" in str(exc.value)
 
 
 def test_stations_csv_header_check(tmp_path):
