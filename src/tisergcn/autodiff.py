@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,6 +27,17 @@ from .errors import ShapeError
 # K=125, 2.5 MB of windows per conv2 sequence) a 4 MB cap trained 40% slower
 # than 8 MB, and 32 MB was no faster but raised peak memory by 20%.
 _CHUNK_BYTES = 8 << 20
+
+# Shape-only cost model that picks conv1d's path (see _fft_cheaper), in units
+# of one float32 im2col multiply-add: a complex float64 product costs 3 per
+# real multiply-add and a length-L transform of one line 30 L log2 L.  Fitted
+# to forward plus backward times of both paths on the default model's conv
+# layers, FFT work on one thread (2-core host, OpenBLAS, 400 sequences):
+# conv2 0.87 s im2col against 0.53 s FFT, conv1 0.13 s against 0.23 s.  Extra
+# threads speed up only the FFT path (conv2 0.32 s on two), so the choice
+# errs towards im2col on hosts with more cores.
+_FFT_MAC_COST = 3.0
+_FFT_LINE_COST = 30.0
 
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
@@ -129,10 +141,15 @@ def mix_nodes(m: np.ndarray, h: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
+def _chunk_rows(n: int, row_bytes: int) -> int:
+    """Sequences per chunk: as many as fit _CHUNK_BYTES, at least one."""
+    return max(1, min(n, _CHUNK_BYTES // row_bytes))
+
+
 def _chunks(n: int, row_bytes: int) -> list[slice]:
     """Slices over n sequences whose window matrix fits _CHUNK_BYTES (at
     least one sequence per slice)."""
-    step = max(1, _CHUNK_BYTES // row_bytes)
+    step = _chunk_rows(n, row_bytes)
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
@@ -142,19 +159,85 @@ def _windows(x: np.ndarray, K: int, stride: int) -> np.ndarray:
     return sliding_window_view(x, (K, C), axis=(1, 2))[:, ::stride, 0].reshape(-1, K * C)
 
 
+def _im2col_forward(xf, k, stride, J):
+    K, C, F = k.shape
+    kflat = k.reshape(K * C, F)
+    out = np.empty((xf.shape[0], J, F), dtype=np.result_type(xf, kflat))
+    for sl in _chunks(xf.shape[0], J * K * C * xf.itemsize):
+        np.matmul(_windows(xf[sl], K, stride), kflat, out=out[sl].reshape(-1, F))
+    return out
+
+
+def _im2col_backward(xf, k, stride, g3, need_x, need_k):
+    K, C, F = k.shape
+    J = g3.shape[1]
+    kflat = k.reshape(K * C, F)
+    chunks = _chunks(xf.shape[0], J * K * C * xf.itemsize)
+    gk = None
+    if need_k:
+        gk = np.zeros_like(kflat)
+        for sl in chunks:
+            gk += _windows(xf[sl], K, stride).T @ g3[sl].reshape(-1, F)
+        gk = gk.reshape(K, C, F)
+    gx = None
+    if need_x:
+        gx = np.zeros_like(xf)
+        for sl in chunks:
+            cols = (g3[sl].reshape(-1, F) @ kflat.T).reshape(-1, J, K, C)
+            target = gx[sl]
+            for j in range(J):
+                # col2im: window j read rows j*stride .. j*stride + K - 1
+                target[:, j * stride:j * stride + K] += cols[:, j]
+    return gx, gk
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: a length pocketfft transforms fast."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _fft_cheaper(T: int, K: int, C: int, F: int, stride: int) -> bool:
+    """Shape-only estimate of whether the FFT path beats im2col.
+
+    Per sequence, im2col does J*K*C*F multiply-adds.  The FFT path
+    transforms about C + F lines of length L and multiplies W = L/2 + 1
+    complex (C, F) matrices, 4 W C F real multiply-adds.
+    """
+    L = _fft_length(T)
+    J = (T - K) // stride + 1
+    fft = _FFT_LINE_COST * (C + F) * L * math.log2(L) + _FFT_MAC_COST * 4 * (L // 2 + 1) * C * F
+    return J * K * C * F > fft
+
+
 def conv1d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     """Valid (unpadded) strided 1D convolution along the second-to-last axis.
 
     x: (..., T, C), kernels: (K, C, F) -> (..., T', F) with
     T' = (T - K) // stride + 1 and y[..., j, f] = sum_{u,c} k[u,c,f] x[..., j*stride+u, c].
 
-    Unfold + GEMM (Chellapilla et al., 2006): each chunk of whole
-    sequences is unfolded into a (rows, K*C) window matrix of at most
-    _CHUNK_BYTES and takes one GEMM against the (K*C, F) kernel.  The
-    kernel gradient sums windows^T @ g over the same chunks.  The input
-    gradient (col2im) takes one GEMM g @ kernel^T per chunk for the
-    gradient of every window, then adds each window back onto the input
-    rows it read.
+    Two paths with one tape node, chosen from the shapes by _fft_cheaper.
+
+    - Unfold + GEMM (Chellapilla et al., 2006), for short kernels: each
+      chunk of whole sequences is unfolded into a (rows, K*C) window
+      matrix of at most _CHUNK_BYTES and takes one GEMM against the
+      (K*C, F) kernel.  The kernel gradient sums windows^T @ g over the
+      same chunks.  The input gradient (col2im) takes one GEMM
+      g @ kernel^T per chunk, then adds each window back onto the input
+      rows it read.
+    - FFT (Mathieu, Henaff & LeCun, 2014), for long kernels over many
+      channels (module ``fftconv``): per chunk of sequences x is
+      transformed along time, each frequency takes one (C, F) product
+      with the conjugate kernel spectrum, and the inverse keeps every
+      stride-th lag.  Transforms and products run in float64 and the
+      result is cast back; a thread pool shares them out, and results do
+      not depend on its size.
     """
     x, kernels = _as_tensor(x), _as_tensor(kernels)
     if kernels.data.ndim != 3:
@@ -169,33 +252,18 @@ def conv1d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"stride must be >= 1, got {stride}")
     J = (T - K) // stride + 1
     xf = x.data.reshape(-1, T, C)
-    kflat = kernels.data.reshape(K * C, F)
-    chunks = _chunks(xf.shape[0], J * K * C * xf.itemsize)
-
-    out = np.empty((xf.shape[0], J, F), dtype=np.result_type(xf, kflat))
-    for sl in chunks:
-        np.matmul(_windows(xf[sl], K, stride), kflat, out=out[sl].reshape(-1, F))
-    out = out.reshape(*x.data.shape[:-2], J, F)
+    if _fft_cheaper(T, K, C, F, stride):
+        from . import fftconv  # compiled on first use
+        path_forward, path_backward = fftconv.forward, fftconv.backward
+    else:
+        path_forward, path_backward = _im2col_forward, _im2col_backward
+    out = path_forward(xf, kernels.data, stride, J).reshape(*x.data.shape[:-2], J, F)
 
     def backward(g):
         g3 = np.ascontiguousarray(g).reshape(-1, J, F)
-        gk = None
-        if kernels.requires_grad:
-            gk = np.zeros_like(kflat)
-            for sl in chunks:
-                gk += _windows(xf[sl], K, stride).T @ g3[sl].reshape(-1, F)
-            gk = gk.reshape(K, C, F)
-        gx = None
-        if x.requires_grad:
-            gxf = np.zeros_like(xf)
-            for sl in chunks:
-                cols = (g3[sl].reshape(-1, F) @ kflat.T).reshape(-1, J, K, C)
-                target = gxf[sl]
-                for j in range(J):
-                    # col2im: window j read rows j*stride .. j*stride + K - 1
-                    target[:, j * stride:j * stride + K] += cols[:, j]
-            gx = gxf.reshape(x.data.shape)
-        return gx, gk
+        gx, gk = path_backward(xf, kernels.data, stride, g3,
+                               x.requires_grad, kernels.requires_grad)
+        return (None if gx is None else gx.reshape(x.data.shape)), gk
 
     return _node(out, (x, kernels), backward)
 

@@ -103,6 +103,8 @@ def load_spec(args) -> dict:
         with open(args.spec, encoding="utf-8") as fh:
             try:
                 user = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{args.spec}: not UTF-8 text at byte {exc.start}") from None
             except json.JSONDecodeError as exc:
                 raise InputError(f"{args.spec}: invalid JSON at offset {exc.pos}: {exc.msg}")
         _check_keys(spec, user)
@@ -478,6 +480,26 @@ def cmd_ablate_meta(args) -> int:
                    row)
 
 
+def _run_metrics(path, body: dict) -> list[dict]:
+    """The per-run metric tables of one metrics.json: its "runs" entries'
+    "metrics", or its own; each must give a number for every statistic of
+    every IM and "overall"."""
+    runs = body.get("runs", [body])
+
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    def table(m):
+        return isinstance(m, dict) and all(
+            isinstance(m.get(im), dict) and all(number(m[im].get(s)) for s in ("mae", "mse", "rmse"))
+            for im in (*IM_NAMES, "overall"))
+
+    if not (isinstance(runs, list) and runs
+            and all(isinstance(r, dict) and table(r.get("metrics")) for r in runs)):
+        raise InputError(f"{path}: expected mae, mse and rmse numbers per IM under 'metrics'")
+    return [r["metrics"] for r in runs]
+
+
 def cmd_report(args) -> int:
     started = time.monotonic()
     if not args.runs:
@@ -492,18 +514,16 @@ def cmd_report(args) -> int:
                 raise InputError(f"{metrics_path}: invalid JSON: {exc}") from None
         if not isinstance(body, dict):
             raise InputError(f"{metrics_path}: not a JSON object")
+        if not isinstance(body.get("provenance", {}), dict):
+            raise InputError(f"{metrics_path}: provenance is not a JSON object")
         reports.append((run_dir, body))
     hashes = {r[1].get("provenance", {}).get("data_hash") for r in reports}
     if len(hashes) != 1:
         raise InputError(f"run directories mix incompatible datasets: {sorted(map(str, hashes))}")
 
     # pool every individual run's metrics; a single dir reproduces itself
-    pooled = []
-    for _, body in reports:
-        if "runs" in body:
-            pooled.extend(run["metrics"] for run in body["runs"])
-        else:
-            pooled.append(body["metrics"])
+    pooled = [m for run_dir, body in reports
+              for m in _run_metrics(os.path.join(run_dir, "metrics.json"), body)]
     prov = reports[0][1].get("provenance", {"spec_sha256": "none", "code_version": code_version()})
 
     table_rows = []

@@ -516,9 +516,13 @@ def load_dataset(path) -> EventDataset:
     with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{manifest_path}: not UTF-8 text at byte {exc.start}") from None
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(
                 f"{manifest_path}: corrupt manifest at offset {exc.pos}: {exc.msg}") from None
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError(f"{manifest_path}: not a JSON object")
 
     version = manifest.get("version")
     if version != DATASET_VERSION:
@@ -531,7 +535,15 @@ def load_dataset(path) -> EventDataset:
         raise DatasetFormatError(
             f"unsupported encoding {manifest['dtype']}/{manifest['byte_order']}")
 
-    e, n, t, c = (int(manifest[k]) for k in ("E", "N", "T", "C"))
+    for key in ("E", "N", "T", "C", "sample_rate_hz"):
+        value = manifest[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise DatasetFormatError(
+                f"{manifest_path}: {key} must be a non-negative integer, got {value!r}")
+    if not isinstance(manifest["station_file"], str):
+        raise DatasetFormatError(
+            f"{manifest_path}: station_file must be a file name, got {manifest['station_file']!r}")
+    e, n, t, c = (manifest[k] for k in ("E", "N", "T", "C"))
     stations = load_stations_csv(os.path.join(path, manifest["station_file"]))
     if len(stations) != n:
         raise ConsistencyError(
@@ -539,6 +551,6 @@ def load_dataset(path) -> EventDataset:
     X = _read_blob(os.path.join(path, "X.bin"), e * n * t * c, (e, n, t, c))
     Y = _read_blob(os.path.join(path, "Y.bin"), e * len(IM_NAMES) * n, (e, len(IM_NAMES), n))
     ds = EventDataset(stations=stations, X=X, Y=Y,
-                      sample_rate_hz=int(manifest["sample_rate_hz"]))
+                      sample_rate_hz=manifest["sample_rate_hz"])
     ds.validate()
     return ds

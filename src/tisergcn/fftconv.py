@@ -1,0 +1,207 @@
+"""FFT path of ``autodiff.conv1d`` for long kernels over many channels.
+
+A valid correlation is a circular one at any transform length L >= T, so
+the convolution becomes one (C, F) product per frequency between the
+input's spectrum and the conjugate kernel spectrum (Mathieu, Henaff &
+LeCun, "Fast Training of Convolutional Networks through FFTs", 2014).
+``autodiff.conv1d`` imports this module the first time its cost estimate
+picks the FFT path, so models that never do skip compiling it.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+
+from . import autodiff as ad
+
+# Work per task; the pool's threads take tasks in turn: small
+# enough that a thread that starts late holds up little, large enough that
+# each task's numpy call outweighs its Python overhead.
+_ROWS = 4      # sequences per transform
+_FREQS = 16    # frequencies per product
+
+
+class _Pool:
+    """Threads that share out the ranges of one numpy stage; pocketfft and
+    BLAS release the GIL.  A range is computed the same way whichever
+    thread takes it, so results do not depend on the pool size."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.pid = os.getpid()
+        self.executor = ThreadPoolExecutor(size - 1, "tisergcn-conv") if size > 1 else None
+
+    def run(self, fn, n: int, grain: int) -> None:
+        """fn(lo, hi) for each range [lo, lo + grain) of range(n).  The calling
+        thread and up to size - 1 pool threads take ranges in turn until none
+        is left, so a thread that starts late leaves its share to the others."""
+        ranges = iter(range(0, n, grain))  # next() is atomic under the GIL
+
+        def drain():
+            for lo in ranges:
+                fn(lo, min(lo + grain, n))
+
+        helpers = min(self.size, -(-n // grain)) - 1
+        futures = [self.executor.submit(drain) for _ in range(helpers)]
+        try:
+            drain()
+        finally:
+            for f in futures:
+                f.exception()  # waits for the task to end
+        for f in futures:
+            f.result()
+
+
+_pool: _Pool | None = None
+_pool_lock = threading.Lock()
+
+
+def _get_pool() -> _Pool:
+    """The process's pool, one thread per usable core, made on first use
+    (and made again in a forked child, whose copy has no threads)."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool.pid != os.getpid():
+            cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+            _pool = _Pool(len(cores) if cores else os.cpu_count() or 1)
+        return _pool
+
+
+class _Plan:
+    """State of one FFT-path call on n sequences of length T, C -> F channels.
+
+    L is the transform length and W = L/2 + 1 the number of frequencies.
+    Sequences go through in chunks of m, whose two frequency-major spectra
+    fit autodiff._CHUNK_BYTES.  Threads move up to _ROWS sequences at a
+    time between time-major (r, T, C) and frequency-major (W, r, C)
+    layouts, in float64, through scratch of their own that holds each
+    sequence's lines contiguous.
+    """
+
+    def __init__(self, n: int, T: int, C: int, F: int):
+        self.L = ad._fft_length(T)
+        self.W = self.L // 2 + 1
+        self.m = ad._chunk_rows(n, 16 * self.W * (C + F))
+        self.lines = max(C, F)
+        self.pool = _get_pool()
+        self._local = threading.local()
+
+    def scratch(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        """This thread's buffer `name`, made on its first use."""
+        buf = getattr(self._local, name, None)
+        if buf is None:
+            buf = np.empty(shape, dtype)
+            setattr(self._local, name, buf)
+        return buf
+
+    def _lines(self, r: int, C: int):
+        t = self.scratch("t", (_ROWS, self.lines, self.L))
+        s = self.scratch("s", (_ROWS, self.lines, self.W), np.complex128)
+        return t[:r, :C], s[:r, :C]
+
+    def to_spectra(self, seqs, stride, spectra) -> None:
+        """seqs (r, J, C), placed stride samples apart, into spectra (W, r, C)."""
+        r, J, C = seqs.shape
+        t, s = self._lines(r, C)
+        t = t[:, :, :(J - 1) * stride + 1]
+        if stride > 1:
+            t[...] = 0
+        t[:, :, ::stride] = seqs.transpose(0, 2, 1)
+        np.fft.rfft(t, self.L, out=s)
+        spectra[...] = s.transpose(2, 0, 1)
+
+    def from_spectra(self, spectra, keep, out) -> None:
+        """spectra (W, r, C) back to time; out (r, ., C) gets the lags in
+        keep, cast to its dtype."""
+        _, r, C = spectra.shape
+        t, s = self._lines(r, C)
+        s[...] = spectra.transpose(1, 2, 0)
+        np.fft.irfft(s, self.L, out=t)
+        out[...] = t[:, :, keep].transpose(0, 2, 1)
+
+    def kernel_spectrum(self, k: np.ndarray) -> np.ndarray:
+        """(K, C, F) -> (W, C, F) complex128, one input channel per task."""
+        out = np.empty((self.W,) + k.shape[1:], np.complex128)
+        self.pool.run(lambda i, j: np.fft.rfft(k[:, i:j], self.L, axis=0, out=out[:, i:j]),
+                      k.shape[1], 1)
+        return out
+
+
+def forward(xf, k, stride, J):
+    """(n, T, C) sequences through (K, C, F) kernels -> (n, J, F), keeping
+    every stride-th lag of the circular correlation."""
+    n, T, C = xf.shape
+    F = k.shape[2]
+    plan = _Plan(n, T, C, F)
+    W, m, run = plan.W, plan.m, plan.pool.run
+    kc = plan.kernel_spectrum(k)
+    np.conjugate(kc, out=kc)
+    xs = np.empty((W, m, C), np.complex128)
+    ys = np.empty((W, m, F), np.complex128)
+    out = np.empty((n, J, F), dtype=np.result_type(xf, k))
+    keep = slice(0, (J - 1) * stride + 1, stride)
+    for lo in range(0, n, m):
+        b = min(m, n - lo)
+        run(lambda i, j: plan.to_spectra(xf[lo + i:lo + j], 1, xs[:, i:j]), b, _ROWS)
+        run(lambda i, j: np.matmul(xs[i:j, :b], kc[i:j], out=ys[i:j, :b]), W, _FREQS)
+        run(lambda i, j: plan.from_spectra(ys[:, i:j], keep, out[lo + i:lo + j]), b, _ROWS)
+    return out
+
+
+def backward(xf, k, stride, g3, need_x, need_k):
+    """Input and kernel gradients for the upstream gradient g3 (n, J, F).
+
+    The kernel gradient accumulates one spectrum over all chunks and
+    inverts it once.  A second pass gives the input gradient, the
+    stride-upsampled g's spectrum times the kernel spectrum; g is
+    transformed in both passes so that the kernel-gradient spectrum and
+    the input gradient are never held at once.
+    """
+    n, T, C = xf.shape
+    K, _, F = k.shape
+    plan = _Plan(n, T, C, F)
+    W, m, run = plan.W, plan.m, plan.pool.run
+    gs = np.empty((W, m, F), np.complex128)
+    xs = np.empty((W, m, C), np.complex128)  # spectrum of x, or of the input gradient
+
+    def chunks():
+        """Per chunk (lo, b), after g's spectrum is in gs."""
+        for lo in range(0, n, m):
+            b = min(m, n - lo)
+            run(lambda i, j: plan.to_spectra(g3[lo + i:lo + j], stride, gs[:, i:j]), b, _ROWS)
+            yield lo, b
+
+    gk = None
+    if need_k:
+        acc = np.zeros((W, C, F), np.complex128)
+
+        def accumulate(i, j, b):
+            # conj(X)^T G summed over sequences: the conjugate spectrum of gk
+            xw = np.conjugate(xs[i:j, :b], out=xs[i:j, :b])
+            part = plan.scratch("part", (_FREQS, C, F), np.complex128)[:j - i]
+            acc[i:j] += np.matmul(xw.transpose(0, 2, 1), gs[i:j, :b], out=part)
+
+        for lo, b in chunks():
+            run(lambda i, j: plan.to_spectra(xf[lo + i:lo + j], 1, xs[:, i:j]), b, _ROWS)
+            run(lambda i, j: accumulate(i, j, b), W, _FREQS)
+        gk = np.empty(k.shape, k.dtype)
+
+        def invert(i, j):
+            gk[:, i:j] = np.fft.irfft(np.conjugate(acc[:, i:j]), plan.L, axis=0)[:K]
+
+        run(invert, C, 1)
+        del acc  # freed before the input-gradient pass allocates gx
+    gx = None
+    if need_x:
+        ks = plan.kernel_spectrum(k)
+        gx = np.empty_like(xf)
+        for lo, b in chunks():
+            run(lambda i, j: np.matmul(gs[i:j, :b], ks[i:j].transpose(0, 2, 1), out=xs[i:j, :b]),
+                W, _FREQS)
+            run(lambda i, j: plan.from_spectra(xs[:, i:j], slice(0, T), gx[lo + i:lo + j]),
+                b, _ROWS)
+    return gx, gk

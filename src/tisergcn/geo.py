@@ -10,6 +10,7 @@ sparsity: only edges with weight strictly greater than ``k`` survive.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -208,7 +209,12 @@ def graph_stats(g: SensorGraph) -> tuple[int, float, float]:
 
 def load_stations_csv(path) -> StationSet:
     """Read a UTF-8 CSV with header ``id,lat,lon``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames[:3]] != ["id", "lat", "lon"]:
             raise InputError(f"{path}: expected CSV header 'id,lat,lon'")

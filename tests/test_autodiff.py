@@ -5,11 +5,15 @@ nested-loop reimplementations, gradients against central finite
 differences (via the conftest helpers).
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 import tisergcn.autodiff as ad
+import tisergcn.fftconv as fftconv
 from tisergcn.errors import ShapeError
+from tisergcn.model import ModelConfig, build_cnn_baseline, build_tiser_gcn
 
 from conftest import check_gradients
 
@@ -214,6 +218,167 @@ class TestChunkedConv:
     def test_chunk_larger_than_cap_holds_one_sequence(self):
         assert [sl.indices(3) for sl in ad._chunks(3, ad._CHUNK_BYTES + 1)] == \
             [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
+
+
+# ---------------------------------------------------------------------------
+# FFT conv1d, forced through the private path selector
+
+@pytest.fixture
+def fft_path(monkeypatch):
+    monkeypatch.setattr(ad, "_fft_cheaper", lambda *shape: True)
+
+
+@pytest.fixture
+def pools():
+    made = {size: fftconv._Pool(size) for size in (1, 2, 3)}
+    yield made
+    for pool in made.values():
+        if pool.executor is not None:
+            pool.executor.shutdown()
+
+
+def conv_and_grads(x, w, stride, g):
+    xp, wp = ad.parameter(x), ad.parameter(w)
+    y = ad.conv1d(xp, wp, stride)
+    gx, gk = y._backward(g)
+    return y.data, gx, gk
+
+
+class TestFFTConv:
+    K, C, F, N = 4, 2, 3, 5
+
+    # (T - K) % stride != 0 for strides 2 and 3
+    @pytest.mark.parametrize("stride,T", [(1, 12), (2, 13), (3, 12)])
+    def test_multi_chunk_matches_oracle_and_fd(self, rng, monkeypatch, fft_path, stride, T):
+        W = ad._fft_length(T) // 2 + 1
+        # two sequences per chunk (2, 2, 1), one per transform, two frequencies per product
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", 2 * 16 * W * (self.C + self.F))
+        monkeypatch.setattr(fftconv, "_ROWS", 1)
+        monkeypatch.setattr(fftconv, "_FREQS", 2)
+        assert fftconv._Plan(self.N, T, self.C, self.F).m == 2
+        J = (T - self.K) // stride + 1
+        x = rng.standard_normal((self.N, T, self.C))
+        w = rng.standard_normal((self.K, self.C, self.F))
+        got = ad.conv1d(ad.Tensor(x), ad.Tensor(w), stride).data
+        assert np.max(np.abs(got - conv1d_oracle(x, w, stride))) <= 1e-12
+
+        xp, wp = ad.parameter(x), ad.parameter(w)
+        t = rng.standard_normal((self.N, J, self.F))
+        check_gradients(lambda: ad.mse_loss(ad.conv1d(xp, wp, stride), t), [xp, wp])
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_values_match_nested_loops(self, rng, fft_path, stride):
+        for _ in range(3):
+            t = int(rng.integers(8, 65))
+            k = int(rng.integers(1, min(t, 9)))
+            c = int(rng.integers(1, 4))
+            f = int(rng.integers(1, 5))
+            x = rng.standard_normal((2, 3, t, c))
+            w = rng.standard_normal((k, c, f))
+            got = ad.conv1d(ad.Tensor(x), ad.Tensor(w), stride).data
+            assert np.max(np.abs(got - conv1d_oracle(x, w, stride))) <= 1e-12
+
+    def test_no_grad_values_bitwise_equal_to_taped(self, rng, fft_path):
+        x = rng.standard_normal((3, 16, 2))
+        w = ad.parameter(rng.standard_normal((5, 2, 4)))
+        taped = ad.conv1d(ad.Tensor(x), w, 2)
+        with ad.no_grad():
+            free = ad.conv1d(ad.Tensor(x), w, 2)
+        assert taped._backward is not None and free._backward is None
+        assert np.array_equal(free.data, taped.data)
+
+    def test_bitwise_equal_across_pool_sizes(self, rng, monkeypatch, fft_path, pools):
+        # 9 sequences in chunks of 4, 4, 1; many small tasks per stage
+        W = ad._fft_length(40) // 2 + 1
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", 4 * 16 * W * (3 + 5))
+        monkeypatch.setattr(fftconv, "_ROWS", 1)
+        monkeypatch.setattr(fftconv, "_FREQS", 3)
+        x = rng.standard_normal((9, 40, 3))
+        w = rng.standard_normal((9, 3, 5))
+        g = rng.standard_normal((9, (40 - 9) // 2 + 1, 5))
+        runs = []
+        for size in (1, 2, 3):
+            monkeypatch.setattr(fftconv, "_pool", pools[size])
+            runs.append(conv_and_grads(x, w, 2, g))
+        for run in runs[1:]:
+            for a, b in zip(runs[0], run):
+                assert np.array_equal(a, b)
+
+    def test_float32_is_transformed_in_float64(self, rng, fft_path):
+        # float32 values take exactly the float64 path, then are rounded once
+        x = rng.standard_normal((4, 30, 3)).astype(np.float32)
+        w = rng.standard_normal((7, 3, 2)).astype(np.float32)
+        g = rng.standard_normal((4, 12, 2)).astype(np.float32)
+        single = conv_and_grads(x, w, 2, g)
+        double = conv_and_grads(x.astype(np.float64), w.astype(np.float64), 2,
+                                g.astype(np.float64))
+        for a, b in zip(single, double):
+            assert a.dtype == np.float32
+            assert np.array_equal(a, b.astype(np.float32))
+
+    def test_pool_runs_every_range_once_under_contention(self):
+        # more threads than cores and a short switch interval: a range lost
+        # or taken twice by the shared iterator shows in the multiset
+        pool = fftconv._Pool(4)
+        interval = sys.getswitchinterval()
+        seen = []
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(20):
+                seen.clear()
+                pool.run(lambda lo, hi: seen.append((lo, hi)), 101, 3)
+                assert sorted(seen) == [(lo, min(lo + 3, 101)) for lo in range(0, 101, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+            pool.executor.shutdown()
+
+    def test_pool_raises_a_task_error(self):
+        pool = fftconv._Pool(2)
+
+        def fail(lo, hi):
+            if lo == 4:
+                raise ValueError("task 4")
+
+        try:
+            with pytest.raises(ValueError, match="task 4"):
+                pool.run(fail, 8, 1)
+        finally:
+            pool.executor.shutdown()
+
+    @pytest.mark.parametrize("n,want", [(1, 1), (2, 2), (7, 8), (11, 12), (13, 15), (17, 18),
+                                        (438, 450), (1000, 1000)])
+    def test_fft_length_is_smallest_5_smooth(self, n, want):
+        assert ad._fft_length(n) == want
+
+
+class TestConvPathSelection:
+    """Which path conv1d takes on the layers of real model configurations."""
+
+    def chosen(self, monkeypatch, build, cfg, n_nodes):
+        seen = []
+        select = ad._fft_cheaper
+
+        def spy(*shape):
+            seen.append(select(*shape))
+            return seen[-1]
+
+        monkeypatch.setattr(ad, "_fft_cheaper", spy)
+        x = np.zeros((1, n_nodes, cfg.input_length, cfg.channels))
+        with ad.no_grad():
+            build(cfg, n_nodes).forward(np.eye(n_nodes), x, np.zeros((n_nodes, 2)))
+        return seen
+
+    def test_default_model_takes_fft_on_conv2_only(self, monkeypatch):
+        assert self.chosen(monkeypatch, build_tiser_gcn, ModelConfig(), 3) == [False, True]
+
+    def test_readme_small_spec_stays_on_im2col(self, monkeypatch):
+        cfg = ModelConfig(conv_filters=(8, 16), conv_kernels=(32, 32), conv_strides=(4, 4))
+        assert self.chosen(monkeypatch, build_tiser_gcn, cfg, 3) == [False, False]
+
+    def test_cnn_cross_layer_stays_on_im2col(self, monkeypatch):
+        # conv1, conv2, then the cross layer spanning all stations (J = 1)
+        assert self.chosen(monkeypatch, build_cnn_baseline, ModelConfig(), 20) == \
+            [False, True, False]
 
 
 # ---------------------------------------------------------------------------

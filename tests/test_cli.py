@@ -409,6 +409,37 @@ class TestErrorContract:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "InputError"
 
+    @pytest.mark.parametrize("body", [
+        {},
+        {"metrics": {"pga": 1}},
+        {"metrics": {"pga": {"mae": 1.0, "mse": 1.0, "rmse": 1.0}}},
+        {"runs": []},
+        {"runs": [{"metrics": None}]},
+        {"runs": 5},
+        {"provenance": 5, "metrics": {im: {"mae": 1.0, "mse": 1.0, "rmse": 1.0}
+                                      for im in ("pga", "pgv", "sa03", "sa1", "sa3", "overall")}},
+    ])
+    def test_report_malformed_metrics_names_file(self, tmp_path, capsys, body):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.json").write_text(json.dumps(body))
+        rc = main(["report", "--out", str(tmp_path / "o"), str(run_dir)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "InputError"
+        assert str(run_dir / "metrics.json") in err["message"]
+
+    def test_spec_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"seed": 1, "graph_k": "\xff"}')
+        rc = main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError"
+        assert str(bad) in err["message"]
+
     def test_missing_checkpoint(self, workdir, tmp_path, capsys):
         _, spec_path, data_dir = workdir
         rc = main(["eval", "--spec", spec_path, "--dataset", data_dir,

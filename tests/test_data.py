@@ -512,6 +512,38 @@ class TestContainer:
         with pytest.raises(DatasetFormatError, match="offset"):
             load_dataset(tmp_path)
 
+    def test_manifest_not_utf8(self, ds, tmp_path):
+        save_dataset(tmp_path, ds)
+        path = tmp_path / "manifest.json"
+        path.write_bytes(path.read_bytes().replace(b'"f32"', b'"f\xff32"'))
+        with pytest.raises(DatasetFormatError, match="UTF-8") as exc:
+            load_dataset(tmp_path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda m: [], "not a JSON object"),
+        (lambda m: {**m, "E": "abc"}, "E must be"),
+        (lambda m: {**m, "T": 2.5}, "T must be"),
+        (lambda m: {**m, "N": True}, "N must be"),
+        (lambda m: {**m, "C": -3}, "C must be"),
+        (lambda m: {**m, "station_file": 5}, "station_file"),
+    ])
+    def test_malformed_manifest_values(self, ds, tmp_path, edit, match):
+        save_dataset(tmp_path, ds)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(DatasetFormatError, match=match) as exc:
+            load_dataset(tmp_path)
+        assert str(path) in str(exc.value)
+
+    def test_station_file_not_utf8(self, ds, tmp_path):
+        save_dataset(tmp_path, ds)
+        path = tmp_path / json.loads((tmp_path / "manifest.json").read_text())["station_file"]
+        path.write_bytes(path.read_bytes() + b"S\xff,1.0,2.0\n")
+        with pytest.raises(InputError, match="UTF-8") as exc:
+            load_dataset(tmp_path)
+        assert str(path) in str(exc.value)
+
     def test_wrong_version(self, ds, tmp_path):
         save_dataset(tmp_path, ds)
         m = json.loads((tmp_path / "manifest.json").read_text())

@@ -117,6 +117,15 @@ def test_stations_csv_non_numeric_coordinate(tmp_path, row):
     assert str(path) in str(exc.value) and "line 3" in str(exc.value)
 
 
+@pytest.mark.parametrize("content", [b"id,l\xe4t,lon\nS0,1,2\n", b"id,lat,lon\nS\xff,1,2\n"])
+def test_stations_csv_not_utf8(tmp_path, content):
+    path = tmp_path / "stations.csv"
+    path.write_bytes(content)
+    with pytest.raises(InputError, match="UTF-8") as exc:
+        load_stations_csv(path)
+    assert str(path) in str(exc.value)
+
+
 def test_stations_csv_header_check(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("name,latitude,lon\na,0,0\n")
