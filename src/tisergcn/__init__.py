@@ -25,7 +25,6 @@ from .geo import (
     build_adjacency,
     geodesic_km,
     graph_stats,
-    graph_to_json,
     load_stations_csv,
     normalized_laplacian,
     pairwise_distances_km,

@@ -1,9 +1,10 @@
 """Dense-tensor engine with reverse-mode differentiation.
 
 Covers exactly the operations the waveform/graph models need: folded
-matrix product, strided valid 1D convolution, relu/tanh/add/add_bias
-elementwise ops, reshape/concat plumbing, node mixing by a constant
-propagation matrix, mean-squared-error loss and an L2 weight penalty.
+matrix product and strided valid 1D convolution (each with an optional
+bias and activation), relu/tanh/add/add_bias elementwise ops,
+reshape/concat plumbing, node mixing by a constant propagation matrix,
+mean-squared-error loss and an L2 weight penalty.
 
 Tensors wrap a numpy array; each op appends a tape node (the output
 tensor itself) holding its parents and a closure that maps the upstream
@@ -30,12 +31,12 @@ _CHUNK_BYTES = 8 << 20
 
 # Shape-only cost model that picks conv1d's path (see _fft_cheaper), in units
 # of one float32 im2col multiply-add: a complex float64 product costs 3 per
-# real multiply-add and a length-L transform of one line 30 L log2 L.  Fitted
+# real multiply-add and a length-n transform of one line 30 n log2 n.  Fitted
 # to forward plus backward times of both paths on the default model's conv
 # layers, FFT work on one thread (2-core host, OpenBLAS, 400 sequences):
 # conv2 0.87 s im2col against 0.53 s FFT, conv1 0.13 s against 0.23 s.  Extra
 # threads speed up only the FFT path (conv2 0.32 s on two), so the choice
-# errs towards im2col on hosts with more cores.
+# errs towards im2col on hosts with more cores.  (Fitted before the stride fold.)
 _FFT_MAC_COST = 3.0
 _FFT_LINE_COST = 30.0
 
@@ -45,7 +46,7 @@ _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 class Tensor:
     """Numpy-backed tensor, optionally tracked on the autodiff tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str = "",
                  _parents=(), _backward=None):
@@ -101,11 +102,41 @@ def _node(data, parents, backward_fn) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product a @ b with b strictly 2-D; leading axes of a are folded.
+def _fused(out: np.ndarray, parents, backward_fn, bias, activation: str) -> Tensor:
+    """Node of out after adding an (F,) bias, then the activation, in place.
+    Backward takes relu's mask (out > 0 exactly where its input is) and tanh's
+    derivative from out, then hands g to backward_fn for ``parents``."""
+    if bias is not None:
+        if bias.data.ndim != 1 or out.shape[-1] != bias.data.shape[0]:
+            raise ShapeError(f"bias {bias.shape} does not match last axis of {out.shape}")
+        np.add(out, bias.data, out=out)
+    if activation == "relu":
+        np.maximum(out, 0, out=out)
+    elif activation == "tanh":
+        np.tanh(out, out=out)
+    elif activation != "linear":
+        raise ShapeError(f"unknown activation {activation!r}")
 
-    a: (..., m, k), b: (k, n) -> (..., m, n).  Gradients: da = g b^T,
-    db = fold(a)^T fold(g).
+    def backward(g):
+        if activation == "relu":
+            g = g * (out > 0)
+        elif activation == "tanh":
+            g = g * (1.0 - out * out)
+        gb = None
+        if bias is not None and bias.requires_grad:
+            gb = g.reshape(-1, out.shape[-1]).sum(axis=0)
+        return (*backward_fn(g), gb)
+
+    return _node(out, (*parents, bias), backward)
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
+           activation: str = "linear") -> Tensor:
+    """activation(a @ b + bias) with b strictly 2-D; leading axes of a are folded.
+
+    a: (..., m, k), b: (k, n), bias: (n,) or None -> (..., m, n), one tape
+    node.  Gradients, with g taken back through the activation: da = g b^T,
+    db = fold(a)^T fold(g), dbias = g summed over all but the last axis.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
@@ -121,7 +152,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
         return ga, gb
 
-    return _node(out, (a, b), backward)
+    return _fused(out, (a, b), backward, bias, activation)
 
 
 def mix_nodes(m: np.ndarray, h: Tensor) -> Tensor:
@@ -207,20 +238,24 @@ def _fft_cheaper(T: int, K: int, C: int, F: int, stride: int) -> bool:
     """Shape-only estimate of whether the FFT path beats im2col.
 
     Per sequence, im2col does J*K*C*F multiply-adds.  The FFT path
-    transforms about C + F lines of length L and multiplies W = L/2 + 1
-    complex (C, F) matrices, 4 W C F real multiply-adds.
+    transforms C input lines of length L = stride * M and F output (or
+    gradient) lines of length M, and multiplies W = L/2 + 1 complex (C, F)
+    matrices, 4 W C F real multiply-adds.
     """
-    L = _fft_length(T)
+    M = _fft_length(-(-T // stride))
+    L = stride * M
     J = (T - K) // stride + 1
-    fft = _FFT_LINE_COST * (C + F) * L * math.log2(L) + _FFT_MAC_COST * 4 * (L // 2 + 1) * C * F
-    return J * K * C * F > fft
+    lines = C * L * math.log2(L) + F * M * math.log2(M)
+    return J * K * C * F > _FFT_LINE_COST * lines + _FFT_MAC_COST * 4 * (L // 2 + 1) * C * F
 
 
-def conv1d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
+def conv1d(x: Tensor, kernels: Tensor, stride: int = 1, bias: Tensor | None = None,
+           activation: str = "linear") -> Tensor:
     """Valid (unpadded) strided 1D convolution along the second-to-last axis.
 
     x: (..., T, C), kernels: (K, C, F) -> (..., T', F) with
-    T' = (T - K) // stride + 1 and y[..., j, f] = sum_{u,c} k[u,c,f] x[..., j*stride+u, c].
+    T' = (T - K) // stride + 1 and y[..., j, f] = sum_{u,c} k[u,c,f] x[..., j*stride+u, c],
+    then an (F,) bias and an activation ("relu", "tanh", "linear") in place on y.
 
     Two paths with one tape node, chosen from the shapes by _fft_cheaper.
 
@@ -234,10 +269,10 @@ def conv1d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     - FFT (Mathieu, Henaff & LeCun, 2014), for long kernels over many
       channels (module ``fftconv``): per chunk of sequences x is
       transformed along time, each frequency takes one (C, F) product
-      with the conjugate kernel spectrum, and the inverse keeps every
-      stride-th lag.  Transforms and products run in float64 and the
-      result is cast back; a thread pool shares them out, and results do
-      not depend on its size.
+      with the conjugate kernel spectrum, and the inverse at L/stride of
+      the folded product gives the stride-th lags.  Transforms and
+      products run in float64 and the result is cast back; a thread pool
+      shares them out, and results do not depend on its size.
     """
     x, kernels = _as_tensor(x), _as_tensor(kernels)
     if kernels.data.ndim != 3:
@@ -265,7 +300,7 @@ def conv1d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
                                x.requires_grad, kernels.requires_grad)
         return (None if gx is None else gx.reshape(x.data.shape)), gk
 
-    return _node(out, (x, kernels), backward)
+    return _fused(out, (x, kernels), backward, bias, activation)
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +308,12 @@ def conv1d(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    out = np.maximum(x.data, 0)
-
-    def backward(g):
-        return (g * (x.data > 0),)
-
-    return _node(out, (x,), backward)
+    return _fused(np.array(x.data), (x,), lambda g: (g,), None, "relu")
 
 
 def tanh(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    out = np.tanh(x.data)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
-
-    return _node(out, (x,), backward)
+    return _fused(np.array(x.data), (x,), lambda g: (g,), None, "tanh")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -307,15 +332,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Broadcast a (F,) bias over the last axis of x (..., F)."""
     x, b = _as_tensor(x), _as_tensor(b)
-    if b.data.ndim != 1 or x.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"bias {b.shape} does not match last axis of {x.shape}")
-    out = x.data + b.data
-
-    def backward(g):
-        gb = g.reshape(-1, b.data.shape[0]).sum(axis=0) if b.requires_grad else None
-        return g, gb
-
-    return _node(out, (x, b), backward)
+    out = np.array(x.data, dtype=np.result_type(x.data, b.data))
+    return _fused(out, (x,), lambda g: (g,), b, "linear")
 
 
 # ---------------------------------------------------------------------------

@@ -46,39 +46,21 @@ def feature_vector(x: np.ndarray) -> np.ndarray:
 
 
 def event_features(x_event: np.ndarray) -> np.ndarray:
-    """(N, T, C) window -> flat (N * C * 9,) feature vector."""
-    x_event = np.asarray(x_event, dtype=np.float64)
-    n, _, c = x_event.shape
-    feats = np.empty((n, c, len(FEATURE_NAMES)))
-    for s in range(n):
-        for ch in range(c):
-            feats[s, ch] = feature_vector(x_event[s, :, ch])
-    return feats.reshape(-1)
+    """(..., N, T, C) windows -> (..., N * C * 9) feature vectors: ``feature_vector``
+    of every channel trace at once, with the energy as T * sum x^2 (Parseval)."""
+    x = np.array(np.swapaxes(x_event, -1, -2), dtype=np.float64, order="C")  # (..., N, C, T)
+    energy = x.shape[-1] * np.sum(x * x, axis=-1)
+    lo, hi = x.min(axis=-1), x.max(axis=-1)
+    feats = np.stack([x.mean(axis=-1), x.std(axis=-1), x.var(axis=-1), np.median(x, axis=-1),
+                      lo, hi, hi - lo, energy, energy / x.shape[-1]], axis=-1)
+    return feats.reshape(*feats.shape[:-3], -1)
 
 
 def dataset_features(ds: EventDataset) -> np.ndarray:
-    """Feature matrix (E, N * C * 9) for a whole dataset."""
-    return np.stack([event_features(ds.X[e]) for e in range(ds.n_events)])
-
-
-def feature_names(ds: EventDataset) -> list[str]:
-    """Column labels matching dataset_features, station_channel_feature."""
-    channels = [f"c{ch}" for ch in range(ds.n_channels)]
-    return [
-        f"{sid}_{ch}_{feat}"
-        for sid in ds.stations.ids
-        for ch in channels
-        for feat in FEATURE_NAMES
-    ]
-
-
-def save_features_csv(path, ds: EventDataset) -> None:
-    feats = dataset_features(ds)
-    header = ",".join(["event"] + feature_names(ds))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for e in range(feats.shape[0]):
-            fh.write(",".join([str(e)] + [repr(v) for v in feats[e]]) + "\n")
+    """Feature matrix (E, N * C * 9) for a whole dataset, about 1 MB of events at a time."""
+    step = max(1, (1 << 20) // (8 * ds.X[0].size))
+    return np.concatenate([event_features(ds.X[lo:lo + step])
+                           for lo in range(0, ds.n_events, step)])
 
 
 # ---------------------------------------------------------------------------

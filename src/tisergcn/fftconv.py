@@ -74,16 +74,17 @@ def _get_pool() -> _Pool:
 class _Plan:
     """State of one FFT-path call on n sequences of length T, C -> F channels.
 
-    L is the transform length and W = L/2 + 1 the number of frequencies.
-    Sequences go through in chunks of m, whose two frequency-major spectra
-    fit autodiff._CHUNK_BYTES.  Threads move up to _ROWS sequences at a
-    time between time-major (r, T, C) and frequency-major (W, r, C)
-    layouts, in float64, through scratch of their own that holds each
-    sequence's lines contiguous.
+    L = stride * M is the transform length, M >= T/stride, and W = L/2 + 1
+    the number of frequencies.  Sequences go through in chunks of m, whose
+    two frequency-major spectra fit autodiff._CHUNK_BYTES.  Threads move up
+    to _ROWS sequences at a time between time-major (r, ., C) and
+    frequency-major (W, r, C) layouts, in float64, through scratch of their
+    own that holds each sequence's lines contiguous.
     """
 
-    def __init__(self, n: int, T: int, C: int, F: int):
-        self.L = ad._fft_length(T)
+    def __init__(self, n: int, T: int, C: int, F: int, stride: int):
+        self.M = ad._fft_length(-(-T // stride))
+        self.L = stride * self.M
         self.W = self.L // 2 + 1
         self.m = ad._chunk_rows(n, 16 * self.W * (C + F))
         self.lines = max(C, F)
@@ -98,30 +99,39 @@ class _Plan:
             setattr(self._local, name, buf)
         return buf
 
-    def _lines(self, r: int, C: int):
+    def _lines(self, r: int, C: int, n: int):
         t = self.scratch("t", (_ROWS, self.lines, self.L))
         s = self.scratch("s", (_ROWS, self.lines, self.W), np.complex128)
-        return t[:r, :C], s[:r, :C]
+        return t[:r, :C, :n], s[:r, :C, :n // 2 + 1].transpose(2, 0, 1)
 
-    def to_spectra(self, seqs, stride, spectra) -> None:
-        """seqs (r, J, C), placed stride samples apart, into spectra (W, r, C)."""
+    def to_spectra(self, seqs, n, spectra) -> None:
+        """seqs (r, ., C), placed L/n samples apart, into spectra (W, r, C):
+        bin k is bin k mod n of their length-n spectrum, conjugated past n/2."""
         r, J, C = seqs.shape
-        t, s = self._lines(r, C)
-        t = t[:, :, :(J - 1) * stride + 1]
-        if stride > 1:
-            t[...] = 0
-        t[:, :, ::stride] = seqs.transpose(0, 2, 1)
-        np.fft.rfft(t, self.L, out=s)
-        spectra[...] = s.transpose(2, 0, 1)
+        t, s = self._lines(r, C, n)
+        t[:, :, :J] = seqs.transpose(0, 2, 1)
+        t[:, :, J:] = 0
+        np.fft.rfft(t, n, out=s.transpose(1, 2, 0))
+        v = s.shape[0]
+        for lo in range(0, self.W, n):
+            a, b = min(v, self.W - lo), min(n, self.W - lo)
+            spectra[lo:lo + a] = s[:a]
+            np.conjugate(s[n - v:n - b:-1], out=spectra[lo + v:lo + b])
 
-    def from_spectra(self, spectra, keep, out) -> None:
-        """spectra (W, r, C) back to time; out (r, ., C) gets the lags in
-        keep, cast to its dtype."""
+    def from_spectra(self, spectra, n, out) -> None:
+        """spectra (W, r, C), folded in place to length n (bin q sums bins q + p n,
+        conjugated past W; the last period first, the only one to read bins < n/2 + 1),
+        back to time: the L/n-th samples, times L/n, cast into out (r, ., C)."""
         _, r, C = spectra.shape
-        t, s = self._lines(r, C)
-        s[...] = spectra.transpose(1, 2, 0)
-        np.fft.irfft(s, self.L, out=t)
-        out[...] = t[:, :, keep].transpose(0, 2, 1)
+        t, s = self._lines(r, C, n)
+        v = s.shape[0]
+        for lo in range(self.L - n, 0, -n):
+            a = max(0, min(v, self.W - lo))
+            spectra[:a] += spectra[lo:lo + a]
+            spectra[a:v] += np.conjugate(spectra[self.L - lo - a:self.L - lo - v:-1])
+        s[...] = spectra[:v]
+        np.fft.irfft(s.transpose(1, 2, 0), n, out=t)
+        out[...] = t[:, :, :out.shape[1]].transpose(0, 2, 1)
 
     def kernel_spectrum(self, k: np.ndarray) -> np.ndarray:
         """(K, C, F) -> (W, C, F) complex128, one input channel per task."""
@@ -132,23 +142,23 @@ class _Plan:
 
 
 def forward(xf, k, stride, J):
-    """(n, T, C) sequences through (K, C, F) kernels -> (n, J, F), keeping
-    every stride-th lag of the circular correlation."""
+    """(n, T, C) sequences through (K, C, F) kernels -> (n, J, F), the
+    stride-th lags of the circular correlation, inverted at length M."""
     n, T, C = xf.shape
     F = k.shape[2]
-    plan = _Plan(n, T, C, F)
+    plan = _Plan(n, T, C, F, stride)
     W, m, run = plan.W, plan.m, plan.pool.run
     kc = plan.kernel_spectrum(k)
     np.conjugate(kc, out=kc)
+    kc /= stride  # the fold sums stride bins
     xs = np.empty((W, m, C), np.complex128)
     ys = np.empty((W, m, F), np.complex128)
     out = np.empty((n, J, F), dtype=np.result_type(xf, k))
-    keep = slice(0, (J - 1) * stride + 1, stride)
     for lo in range(0, n, m):
         b = min(m, n - lo)
-        run(lambda i, j: plan.to_spectra(xf[lo + i:lo + j], 1, xs[:, i:j]), b, _ROWS)
+        run(lambda i, j: plan.to_spectra(xf[lo + i:lo + j], plan.L, xs[:, i:j]), b, _ROWS)
         run(lambda i, j: np.matmul(xs[i:j, :b], kc[i:j], out=ys[i:j, :b]), W, _FREQS)
-        run(lambda i, j: plan.from_spectra(ys[:, i:j], keep, out[lo + i:lo + j]), b, _ROWS)
+        run(lambda i, j: plan.from_spectra(ys[:, i:j], plan.M, out[lo + i:lo + j]), b, _ROWS)
     return out
 
 
@@ -157,13 +167,13 @@ def backward(xf, k, stride, g3, need_x, need_k):
 
     The kernel gradient accumulates one spectrum over all chunks and
     inverts it once.  A second pass gives the input gradient, the
-    stride-upsampled g's spectrum times the kernel spectrum; g is
-    transformed in both passes so that the kernel-gradient spectrum and
-    the input gradient are never held at once.
+    stride-upsampled g's spectrum (its length-M one, repeated) times the
+    kernel spectrum; g is transformed in both passes so that the
+    kernel-gradient spectrum and the input gradient are never held at once.
     """
     n, T, C = xf.shape
     K, _, F = k.shape
-    plan = _Plan(n, T, C, F)
+    plan = _Plan(n, T, C, F, stride)
     W, m, run = plan.W, plan.m, plan.pool.run
     gs = np.empty((W, m, F), np.complex128)
     xs = np.empty((W, m, C), np.complex128)  # spectrum of x, or of the input gradient
@@ -172,7 +182,7 @@ def backward(xf, k, stride, g3, need_x, need_k):
         """Per chunk (lo, b), after g's spectrum is in gs."""
         for lo in range(0, n, m):
             b = min(m, n - lo)
-            run(lambda i, j: plan.to_spectra(g3[lo + i:lo + j], stride, gs[:, i:j]), b, _ROWS)
+            run(lambda i, j: plan.to_spectra(g3[lo + i:lo + j], plan.M, gs[:, i:j]), b, _ROWS)
             yield lo, b
 
     gk = None
@@ -186,7 +196,7 @@ def backward(xf, k, stride, g3, need_x, need_k):
             acc[i:j] += np.matmul(xw.transpose(0, 2, 1), gs[i:j, :b], out=part)
 
         for lo, b in chunks():
-            run(lambda i, j: plan.to_spectra(xf[lo + i:lo + j], 1, xs[:, i:j]), b, _ROWS)
+            run(lambda i, j: plan.to_spectra(xf[lo + i:lo + j], plan.L, xs[:, i:j]), b, _ROWS)
             run(lambda i, j: accumulate(i, j, b), W, _FREQS)
         gk = np.empty(k.shape, k.dtype)
 
@@ -202,6 +212,5 @@ def backward(xf, k, stride, g3, need_x, need_k):
         for lo, b in chunks():
             run(lambda i, j: np.matmul(gs[i:j, :b], ks[i:j].transpose(0, 2, 1), out=xs[i:j, :b]),
                 W, _FREQS)
-            run(lambda i, j: plan.from_spectra(xs[:, i:j], slice(0, T), gx[lo + i:lo + j]),
-                b, _ROWS)
+            run(lambda i, j: plan.from_spectra(xs[:, i:j], plan.L, gx[lo + i:lo + j]), b, _ROWS)
     return gx, gk

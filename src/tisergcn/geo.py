@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,12 +109,8 @@ class SensorGraph:
 
     def edges(self) -> list[tuple[int, int, float, float]]:
         """Retained undirected edges as (i, j, weight, dist_km), i < j."""
-        out = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.A[i, j] > 0.0:
-                    out.append((i, j, float(self.A[i, j]), float(self.dist_km[i, j])))
-        return out
+        return [(int(i), int(j), float(self.A[i, j]), float(self.dist_km[i, j]))
+                for i, j in zip(*np.nonzero(np.triu(self.A, 1)))]
 
 
 def build_adjacency(stations: StationSet, k: float) -> SensorGraph:
@@ -244,7 +239,3 @@ def graph_to_dict(g: SensorGraph) -> dict:
             {"i": i, "j": j, "weight": w, "dist_km": d} for i, j, w, d in g.edges()
         ],
     }
-
-
-def graph_to_json(g: SensorGraph) -> str:
-    return json.dumps(graph_to_dict(g), indent=2, sort_keys=True)

@@ -35,8 +35,8 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, d
 class Conv1DLayer:
     """Strided valid 1D convolution with shared weights across nodes.
 
-    kernels: (K, C_in, F); bias: (F,).  Applied to (..., T, C_in), so the
-    same filter bank runs over every leading index (station, event).
+    kernels: (K, C_in, F); bias: (F,).  One ``conv1d`` tape node applied to
+    (..., T, C_in): the same filter bank runs over every (station, event).
     """
 
     def __init__(self, kernel_size: int, in_channels: int, filters: int, stride: int,
@@ -52,7 +52,7 @@ class Conv1DLayer:
         self.bias = ad.parameter(np.zeros(filters, dtype=dtype), name=f"{name}.bias")
 
     def apply(self, x: ad.Tensor) -> ad.Tensor:
-        return self._act(ad.add_bias(ad.conv1d(x, self.kernels, self.stride), self.bias))
+        return ad.conv1d(x, self.kernels, self.stride, self.bias, self.activation)
 
     def out_length(self, t: int) -> int:
         return (t - self.kernels.shape[0]) // self.stride + 1
@@ -90,7 +90,7 @@ class GCNLayer:
 
 
 class DenseLayer:
-    """Fully connected layer: activation(x @ W + b)."""
+    """Fully connected layer: activation(x @ W + b), one ``matmul`` tape node."""
 
     def __init__(self, in_features: int, out_features: int, activation: str,
                  rng: np.random.Generator, dtype=np.float64, name: str = "dense"):
@@ -102,7 +102,7 @@ class DenseLayer:
         self.bias = ad.parameter(np.zeros(out_features, dtype=dtype), name=f"{name}.bias")
 
     def apply(self, x: ad.Tensor) -> ad.Tensor:
-        return self._act(ad.add_bias(ad.matmul(x, self.W), self.bias))
+        return ad.matmul(x, self.W, self.bias, self.activation)
 
     def params(self):
         return [self.W, self.bias]

@@ -198,6 +198,7 @@ def train(model: Model, ds: EventDataset, prop: PropagationMatrix, cfg: TrainCon
                          where=f" at epoch {epoch}, batch {lo // cfg.batch_size}")
             ad.zero_grad(params)
             total_se += float(data_loss.data) * sel.size
+            del pred, data_loss, loss  # this batch's tape, before the next forward pass
         train_loss = total_se / order.size
         hist.train_loss.append(train_loss)
 

@@ -240,7 +240,7 @@ def pools():
 def conv_and_grads(x, w, stride, g):
     xp, wp = ad.parameter(x), ad.parameter(w)
     y = ad.conv1d(xp, wp, stride)
-    gx, gk = y._backward(g)
+    gx, gk, _ = y._backward(g)  # the third is the bias gradient, None here
     return y.data, gx, gk
 
 
@@ -250,12 +250,12 @@ class TestFFTConv:
     # (T - K) % stride != 0 for strides 2 and 3
     @pytest.mark.parametrize("stride,T", [(1, 12), (2, 13), (3, 12)])
     def test_multi_chunk_matches_oracle_and_fd(self, rng, monkeypatch, fft_path, stride, T):
-        W = ad._fft_length(T) // 2 + 1
+        W = fftconv._Plan(self.N, T, self.C, self.F, stride).W
         # two sequences per chunk (2, 2, 1), one per transform, two frequencies per product
         monkeypatch.setattr(ad, "_CHUNK_BYTES", 2 * 16 * W * (self.C + self.F))
         monkeypatch.setattr(fftconv, "_ROWS", 1)
         monkeypatch.setattr(fftconv, "_FREQS", 2)
-        assert fftconv._Plan(self.N, T, self.C, self.F).m == 2
+        assert fftconv._Plan(self.N, T, self.C, self.F, stride).m == 2
         J = (T - self.K) // stride + 1
         x = rng.standard_normal((self.N, T, self.C))
         w = rng.standard_normal((self.K, self.C, self.F))
@@ -350,6 +350,25 @@ class TestFFTConv:
     def test_fft_length_is_smallest_5_smooth(self, n, want):
         assert ad._fft_length(n) == want
 
+    # strides 1-4 and 7 (L = 7 M is not 5-smooth); (T - K) % stride != 0
+    # past stride 1; two sequences per chunk, so three chunks
+    @pytest.mark.parametrize("stride,T", [(1, 13), (2, 15), (3, 18), (4, 21), (7, 23)])
+    def test_folded_strides_match_oracle_and_fd(self, rng, monkeypatch, fft_path, stride, T):
+        plan = fftconv._Plan(self.N, T, self.C, self.F, stride)
+        assert plan.L == stride * plan.M and plan.M >= -(-T // stride)
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", 2 * 16 * plan.W * (self.C + self.F))
+        monkeypatch.setattr(fftconv, "_ROWS", 1)
+        monkeypatch.setattr(fftconv, "_FREQS", 2)
+        J = (T - self.K) // stride + 1
+        x = rng.standard_normal((self.N, T, self.C))
+        w = rng.standard_normal((self.K, self.C, self.F))
+        got = ad.conv1d(ad.Tensor(x), ad.Tensor(w), stride).data
+        assert np.max(np.abs(got - conv1d_oracle(x, w, stride))) <= 1e-12
+
+        xp, wp = ad.parameter(x), ad.parameter(w)
+        t = rng.standard_normal((self.N, J, self.F))
+        check_gradients(lambda: ad.mse_loss(ad.conv1d(xp, wp, stride), t), [xp, wp])
+
 
 class TestConvPathSelection:
     """Which path conv1d takes on the layers of real model configurations."""
@@ -379,6 +398,83 @@ class TestConvPathSelection:
         # conv1, conv2, then the cross layer spanning all stations (J = 1)
         assert self.chosen(monkeypatch, build_cnn_baseline, ModelConfig(), 20) == \
             [False, True, False]
+
+
+# ---------------------------------------------------------------------------
+# bias and activation fused into conv1d and matmul
+
+CHAIN = {"relu": ad.relu, "tanh": ad.tanh, "linear": lambda t: t}
+
+
+class TestFusedNode:
+    """One node for op + bias + activation, bitwise equal to the primitive chain."""
+
+    def run(self, op, args, b, g, activation, fused):
+        params = [ad.parameter(a) for a in args]
+        bias = ad.parameter(b)
+        if fused:
+            y = op(*params, bias=bias, activation=activation)
+            assert y._parents == (*params, bias)
+        else:
+            y = CHAIN[activation](ad.add_bias(op(*params), bias))
+        ad.backward(ad.mse_loss(y, g))
+        with ad.no_grad():
+            if fused:
+                free = op(*params, bias=bias, activation=activation)
+            else:
+                free = CHAIN[activation](ad.add_bias(op(*params), bias))
+        assert free._backward is None
+        return [y.data, free.data, bias.grad] + [p.grad for p in params]
+
+    @pytest.mark.parametrize("fft", [False, True])
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    def test_conv1d(self, rng, monkeypatch, fft, activation):
+        monkeypatch.setattr(ad, "_fft_cheaper", lambda *shape: fft)
+        x = rng.standard_normal((2, 3, 20, 2)).astype(np.float32)
+        w = rng.standard_normal((5, 2, 4)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+        g = rng.standard_normal((2, 3, 6, 4)).astype(np.float32)
+
+        def conv(xp, wp, **kw):
+            return ad.conv1d(xp, wp, 3, **kw)
+
+        fused = self.run(conv, (x, w), b, g, activation, True)
+        chain = self.run(conv, (x, w), b, g, activation, False)
+        for u, v in zip(fused, chain):
+            assert u.dtype == v.dtype and np.array_equal(u, v)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    def test_matmul(self, rng, activation):
+        a = rng.standard_normal((2, 5, 6)).astype(np.float32)
+        w = rng.standard_normal((6, 3)).astype(np.float32)
+        b = rng.standard_normal(3).astype(np.float32)
+        g = rng.standard_normal((2, 5, 3)).astype(np.float32)
+        fused = self.run(ad.matmul, (a, w), b, g, activation, True)
+        chain = self.run(ad.matmul, (a, w), b, g, activation, False)
+        for u, v in zip(fused, chain):
+            assert u.dtype == v.dtype and np.array_equal(u, v)
+
+    @pytest.mark.parametrize("activation", ["tanh", "linear"])
+    def test_gradients(self, rng, activation):
+        x = ad.parameter(rng.standard_normal((2, 11, 2)))
+        w = ad.parameter(rng.standard_normal((4, 2, 3)))
+        b = ad.parameter(rng.standard_normal(3))
+        v = ad.parameter(rng.standard_normal((3, 2)))
+        c = ad.parameter(rng.standard_normal(2))
+        t = rng.standard_normal((2, 4, 2))
+
+        def loss():
+            h = ad.conv1d(x, w, 2, bias=b, activation=activation)
+            return ad.mse_loss(ad.matmul(h, v, bias=c, activation=activation), t)
+
+        check_gradients(loss, [x, w, b, v, c])
+
+    def test_rejects_bad_bias_and_activation(self):
+        x, w = ad.Tensor(np.zeros((6, 2))), ad.Tensor(np.zeros((3, 2, 4)))
+        with pytest.raises(ShapeError):
+            ad.conv1d(x, w, 1, bias=ad.Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            ad.matmul(x, ad.Tensor(np.zeros((2, 4))), activation="swish")
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,13 @@ from tisergcn.baselines import (
     KNNChoice,
     dataset_features,
     event_features,
-    feature_names,
     feature_vector,
     grid_search_cv,
     knn_fit_predict,
     knn_predict,
     mean_predictor,
-    save_features_csv,
 )
-from tisergcn.data import synth_dataset
-from tisergcn.data import random_stations
+from tisergcn.data import EventDataset, random_stations
 from tisergcn.errors import InputError
 
 
@@ -77,17 +74,16 @@ class TestFeatures:
         block = flat[(1 * 3 + 2) * 9:(1 * 3 + 2) * 9 + 9]
         assert np.allclose(block, feature_vector(x[1, :, 2]), atol=0)
 
-    def test_feature_names_align(self, tmp_path):
-        ds = synth_dataset(random_stations(2, seed=1), 3, seed=0,
-                           input_seconds=4, total_seconds=12.0)
-        names = feature_names(ds)
+    def test_dataset_features_match_per_trace_oracle(self, rng):
+        # 120 events of 2 x 400 x 3 samples take three chunks of about 1 MB
+        x = rng.standard_normal((120, 2, 400, 3)).astype(np.float32)
+        ds = EventDataset(random_stations(2, seed=1), x, np.zeros((120, 5, 2)), 100)
         feats = dataset_features(ds)
-        assert len(names) == feats.shape[1] == 2 * 3 * 9
-        assert names[0] == "S000_c0_mean"
-        assert names[-1] == "S001_c2_power"
-        save_features_csv(tmp_path / "features.csv", ds)
-        header = (tmp_path / "features.csv").read_text().splitlines()[0]
-        assert header.split(",")[1:] == names
+        want = np.stack([
+            np.concatenate([feature_vector(x[e, s, :, ch]) for s in range(2) for ch in range(3)])
+            for e in range(120)])
+        assert feats.shape == want.shape
+        assert np.max(np.abs(feats - want) / np.abs(want)) <= 1e-12
 
 
 class TestKNN:

@@ -14,7 +14,7 @@ from tisergcn.geo import (
     build_adjacency,
     geodesic_km,
     graph_stats,
-    graph_to_json,
+    graph_to_dict,
     load_stations_csv,
     normalized_laplacian,
     pairwise_distances_km,
@@ -271,8 +271,21 @@ def test_empty_graph_stats():
 
 def test_graph_json_structure():
     st = StationSet.from_pairs([("a", 0.0, 0.0), ("b", 0.0, 0.1), ("c", 0.0, 0.3)])
-    payload = json.loads(graph_to_json(build_adjacency(st, k=0.3)))
+    payload = json.loads(json.dumps(graph_to_dict(build_adjacency(st, k=0.3))))
     assert payload["n"] == 3 and payload["k"] == 0.3
     assert [(e["i"], e["j"]) for e in payload["edges"]] == [(0, 1), (1, 2)]
     for e in payload["edges"]:
         assert e["weight"] > 0.3 and e["dist_km"] > 0
+
+
+def test_edges_match_double_loop(rng):
+    # every pair i < j with a positive weight, row by row, as a double loop lists them
+    st = StationSet.from_pairs([(f"s{i}", float(la), float(lo)) for i, (la, lo)
+                                in enumerate(rng.uniform(-1.0, 1.0, size=(9, 2)))])
+    for k in (0.0, 0.3, 0.6, 1.0):
+        g = build_adjacency(st, k)
+        want = [(i, j, float(g.A[i, j]), float(g.dist_km[i, j]))
+                for i in range(g.n) for j in range(i + 1, g.n) if g.A[i, j] > 0.0]
+        got = g.edges()
+        assert got == want
+        assert all(type(i) is int and type(j) is int for i, j, _, _ in got)

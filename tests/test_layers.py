@@ -160,3 +160,36 @@ class TestPlumbing:
         h = ad.Tensor(rng.standard_normal((2, 4, 5)))
         with pytest.raises(ShapeError):
             append_metadata(h, np.zeros((3, 2)), enabled=True)
+
+
+class TestFusedLayers:
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    def test_conv_and_dense_are_one_node_each_equal_to_primitive_chain(self, rng, activation):
+        conv = Conv1DLayer(4, 2, 3, 2, activation, np.random.default_rng(0), dtype=np.float32)
+        dense = DenseLayer(3, 2, activation, np.random.default_rng(1), dtype=np.float32)
+        conv.bias.data[:] = rng.standard_normal(3)
+        dense.bias.data[:] = rng.standard_normal(2)
+        params = conv.params() + dense.params()
+        x = rng.standard_normal((2, 13, 2)).astype(np.float32)
+        t = rng.standard_normal((2, 5, 2)).astype(np.float32)
+
+        def layers():
+            h = conv.apply(ad.Tensor(x))
+            assert h._parents[1:] == (conv.kernels, conv.bias)
+            out = dense.apply(h)
+            assert out._parents == (h, dense.W, dense.bias)
+            return out
+
+        def chain():
+            h = ad.conv1d(ad.Tensor(x), conv.kernels, conv.stride)
+            h = conv._act(ad.add_bias(h, conv.bias))
+            return dense._act(ad.add_bias(ad.matmul(h, dense.W), dense.bias))
+
+        runs = []
+        for build in (layers, chain):
+            out = build()
+            ad.backward(ad.mse_loss(out, t))
+            runs.append([out.data] + [p.grad.copy() for p in params])
+            ad.zero_grad(params)
+        for u, v in zip(*runs):
+            assert np.array_equal(u, v)

@@ -1,6 +1,8 @@
 """Optimizer arithmetic, split protocol laws, the training loop's
 determinism and early stopping, and the repeated-CV evaluation protocol."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,31 @@ class TestTrainLoop:
                                  stop_below_train_loss=1e9),
                      train_idx=np.arange(12), val_idx=None, seed=0)
         assert len(hist.train_loss) == 1  # first epoch already satisfies it
+
+    def test_previous_batch_tape_freed_before_next_forward(self, tiny_setup, monkeypatch):
+        # two batches: the first step's prediction and loss, and so the tape
+        # behind them, are gone when the second forward pass starts
+        ds, prop = tiny_setup
+        model = build_tiser_gcn(tiny_model_cfg(), 3)
+        refs, alive_at_forward = [], []
+        forward, mse_loss = model.forward, ad.mse_loss
+
+        def spy_forward(*args):
+            alive_at_forward.append([r() is not None for r in refs])
+            out = forward(*args)
+            refs.append(weakref.ref(out))
+            return out
+
+        def spy_mse_loss(pred, target):
+            out = mse_loss(pred, target)
+            refs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(model, "forward", spy_forward)
+        monkeypatch.setattr(ad, "mse_loss", spy_mse_loss)
+        train(model, ds, prop, TrainConfig(batch_size=6, max_epochs=1, repeats=1),
+              train_idx=np.arange(12), val_idx=None, seed=0)
+        assert alive_at_forward == [[], [False, False]]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self, tiny_setup):
