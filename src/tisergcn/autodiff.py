@@ -36,7 +36,13 @@ _CHUNK_BYTES = 8 << 20
 # layers, FFT work on one thread (2-core host, OpenBLAS, 400 sequences):
 # conv2 0.87 s im2col against 0.53 s FFT, conv1 0.13 s against 0.23 s.  Extra
 # threads speed up only the FFT path (conv2 0.32 s on two), so the choice
-# errs towards im2col on hosts with more cores.  (Fitted before the stride fold.)
+# errs towards im2col on hosts with more cores.  Fitted before the stride
+# fold, which made the FFT path cheaper: since then the default conv1 (left on
+# im2col) takes 0.183 / 0.164 s on the FFT path against 0.190 / 0.179 s on
+# im2col (forward plus kernel gradient, 400 sequences, median of 5, two pool
+# threads, two alternations).
+# The constants are deliberately left as they are: the FFT path's edge there
+# is within run-to-run noise, and refitting would move a pinned path choice.
 _FFT_MAC_COST = 3.0
 _FFT_LINE_COST = 30.0
 

@@ -350,12 +350,13 @@ def synth_event_waveforms(stations: StationSet, event: SynthEvent,
                           site_amp: float = 0.0) -> np.ndarray:
     """Full-length 3-channel acceleration traces (N, T_full, C) for one event.
 
-    Two wavelets per station: a fast low-amplitude arrival at
-    distance / v_p and a slower larger one at distance / v_s, both scaled
-    by 10^(magnitude - 3) / (hypocentral distance + floor) and the
-    station's site amplification.  White noise of absolute amplitude
-    ``noise_amp`` is added on top, so quiet traces carry an absolute
-    reference level.
+    The returned array first holds white noise of absolute amplitude
+    ``noise_amp``, so quiet traces carry an absolute reference level.  Two
+    wavelets per station are then added on top: a fast low-amplitude
+    arrival at distance / v_p and a slower larger one at distance / v_s,
+    both scaled by 10^(magnitude - 3) / (hypocentral distance + floor) and
+    the station's site amplification.  Each wavelet is computed only from
+    the first sample after its arrival; before it the trace is the noise.
     """
     rng = np.random.default_rng(event.seed)
     n = len(stations)
@@ -379,20 +380,30 @@ def synth_event_waveforms(stations: StationSet, event: SynthEvent,
     f_s = 0.7 * corner * (0.95 + 0.1 * rng.random())
     tau_s = 8.0 * 10.0 ** (0.15 * (event.magnitude - 4.0))
 
-    def wavelet(onset_s: np.ndarray, freq: float, decay_s: float) -> np.ndarray:
-        rel = t[None, :] - onset_s[:, None]
-        env = np.where(rel > 0.0,
-                       np.minimum(rel / 0.2, 1.0) * np.exp(-np.maximum(rel, 0.0) / decay_s),
-                       0.0)
-        return env * np.sin(2.0 * math.pi * freq * rel)
-
-    wp = wavelet(event.origin_time_s + d_epi / V_P_KM_S, f_p, 2.0)
-    ws = wavelet(event.origin_time_s + d_epi / V_S_KM_S, f_s, tau_s)
-
-    w = amp[:, None, None] * (P_REL_AMP * wp[:, :, None] * mix_p[None, None, :]
-                              + ws[:, :, None] * mix_s[None, None, :])
     if noise_amp > 0.0:
-        w = w + noise_amp * rng.standard_normal((n, t_len, 3))
+        w = rng.standard_normal((n, t_len, 3))
+        w *= noise_amp
+    else:
+        w = np.zeros((n, t_len, 3))
+
+    for i in range(n):
+        waves = []
+        for onset, freq, decay_s in ((event.origin_time_s + d_epi[i] / V_P_KM_S, f_p, 2.0),
+                                     (event.origin_time_s + d_epi[i] / V_S_KM_S, f_s, tau_s)):
+            # the wavelet is zero up to the first sample with t - onset > 0,
+            # which searchsorted finds exactly: fl(t - onset) > 0 iff t > onset
+            k = int(np.searchsorted(t, onset, side="right"))
+            rel = t[k:] - onset
+            waves.append((k, np.minimum(rel / 0.2, 1.0) * np.exp(-rel / decay_s)
+                          * np.sin(2.0 * math.pi * freq * rel)))
+        # the S onset is never before the P onset, so ws is a suffix of wp
+        (kp, wp), (ks, ws) = waves
+        wp *= P_REL_AMP
+        for c in range(3):
+            sig = wp * mix_p[c]
+            sig[ks - kp:] += ws * mix_s[c]
+            sig *= amp[i]
+            w[i, kp:, c] += sig
     return w
 
 
@@ -540,6 +551,9 @@ def load_dataset(path) -> EventDataset:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise DatasetFormatError(
                 f"{manifest_path}: {key} must be a non-negative integer, got {value!r}")
+    if manifest["sample_rate_hz"] < 1:
+        raise DatasetFormatError(
+            f"{manifest_path}: sample_rate_hz must be >= 1, got {manifest['sample_rate_hz']}")
     if not isinstance(manifest["station_file"], str):
         raise DatasetFormatError(
             f"{manifest_path}: station_file must be a file name, got {manifest['station_file']!r}")

@@ -209,6 +209,8 @@ def load_stations_csv(path) -> StationSet:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read station file: {exc.strerror}") from None
     with io.StringIO(text, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames[:3]] != ["id", "lat", "lon"]:

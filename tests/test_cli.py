@@ -4,6 +4,7 @@ error contract."""
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -430,6 +431,23 @@ class TestErrorContract:
         err = json.loads(lines[0])
         assert err["error"] == "InputError"
         assert str(run_dir / "metrics.json") in err["message"]
+
+    @pytest.mark.parametrize("station_file", [".", "missing.csv"])
+    def test_unreadable_station_file(self, workdir, tmp_path, capsys, station_file):
+        _, spec_path, data_dir = workdir
+        copy = tmp_path / "data"
+        shutil.copytree(data_dir, copy)
+        manifest = copy / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                        "station_file": station_file}))
+        rc = main(["build-graph", "--spec", spec_path, "--dataset", str(copy),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "InputError"
+        assert "cannot read station file" in err["message"]
 
     def test_spec_not_utf8(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -108,6 +108,47 @@ def newmark_peak_step_loop(accel, dt, period, damping=SA_DAMPING):
     return peak.reshape(lead)
 
 
+# ---------------------------------------------------------------------------
+# waveform oracle: the generator as (N, T) and (N, T, 3) broadcasts over
+# every sample, with the same random draws in the same order
+
+def synth_event_waveforms_broadcast(stations, event, total_seconds, sample_rate_hz=100,
+                                    noise_amp=DEFAULT_NOISE_AMP, site_amp=0.0):
+    rng = np.random.default_rng(event.seed)
+    n = len(stations)
+    t_len = int(round(total_seconds * sample_rate_hz))
+    dt = 1.0 / sample_rate_hz
+    t = np.arange(t_len) * dt
+
+    d_epi = _station_distances_km(stations, event.epicenter)
+    d_hyp = np.hypot(d_epi, event.depth_km)
+    amp = (10.0 ** (event.magnitude - 3.0) / (d_hyp + data.DIST_FLOOR_KM)
+           * data.site_amplification(stations, site_amp))
+
+    mix_p = np.array([1.0, 0.5, 0.5]) * (0.9 + 0.2 * rng.random(3))
+    mix_s = np.array([0.5, 1.0, 0.8]) * (0.9 + 0.2 * rng.random(3))
+    corner = 10.0 ** (-0.2 * (event.magnitude - 4.0))
+    f_p = 2.0 * corner * (0.95 + 0.1 * rng.random())
+    f_s = 0.7 * corner * (0.95 + 0.1 * rng.random())
+    tau_s = 8.0 * 10.0 ** (0.15 * (event.magnitude - 4.0))
+
+    def wavelet(onset_s, freq, decay_s):
+        rel = t[None, :] - onset_s[:, None]
+        env = np.where(rel > 0.0,
+                       np.minimum(rel / 0.2, 1.0) * np.exp(-np.maximum(rel, 0.0) / decay_s),
+                       0.0)
+        return env * np.sin(2.0 * math.pi * freq * rel)
+
+    wp = wavelet(event.origin_time_s + d_epi / V_P_KM_S, f_p, 2.0)
+    ws = wavelet(event.origin_time_s + d_epi / data.V_S_KM_S, f_s, tau_s)
+
+    w = amp[:, None, None] * (data.P_REL_AMP * wp[:, :, None] * mix_p[None, None, :]
+                              + ws[:, :, None] * mix_s[None, None, :])
+    if noise_amp > 0.0:
+        w = w + noise_amp * rng.standard_normal((n, t_len, 3))
+    return w
+
+
 BLOCK = data._NEWMARK_BLOCK
 
 
@@ -427,6 +468,46 @@ class TestSyntheticGenerator:
         assert centroid_l < centroid_s
 
 
+class TestWaveformOracle:
+    """The in-place generator against the broadcast oracle: the same bytes
+    with noise; with noise_amp = 0 equal values, since the oracle writes
+    -0.0 where sin(2 pi f rel) < 0 before an arrival and the generator +0.0."""
+
+    @staticmethod
+    def check(stations, event, total_seconds, rate=100, site_amp=0.0):
+        for noise_amp in (DEFAULT_NOISE_AMP, 0.0):
+            args = (stations, event, total_seconds, rate, noise_amp, site_amp)
+            got = synth_event_waveforms(*args)
+            want = synth_event_waveforms_broadcast(*args)
+            assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+            if noise_amp > 0.0:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 7, 20])
+    @pytest.mark.parametrize("site_amp", [0.0, 0.3])
+    @pytest.mark.parametrize("rate", [25, 50, 100])
+    def test_random_networks(self, n, site_amp, rate):
+        # 40 s: the S arrival at the farthest stations falls past the end
+        stations = random_stations(n, seed=n)
+        event = SynthEvent((42.75, 13.0), 8.0, 4.5, 0.5, seed=100 + n + rate)
+        self.check(stations, event, 40.0, rate, site_amp)
+
+    @pytest.mark.parametrize("origin_time_s", [
+        0.5,     # station C: P inside the record, S past its end
+        40.0,    # every arrival past the end
+        -60.0,   # every onset before the first sample
+        0.0,     # station A's onsets fall exactly on t[0]
+        1.0,     # ... and exactly on t[100]
+    ])
+    def test_arrivals_at_the_record_edges(self, origin_time_s):
+        stations = StationSet.from_pairs([
+            ("A", 42.0, 13.0), ("B", 42.0, 13.4), ("C", 42.0, 14.6)])
+        event = SynthEvent((42.0, 13.0), 5.0, 4.0, origin_time_s, seed=99)
+        self.check(stations, event, 30.0)
+
+
 class TestSynthDataset:
     def test_shapes_dtype_and_normalization(self):
         st = random_stations(4, seed=3)
@@ -527,6 +608,7 @@ class TestContainer:
         (lambda m: {**m, "N": True}, "N must be"),
         (lambda m: {**m, "C": -3}, "C must be"),
         (lambda m: {**m, "station_file": 5}, "station_file"),
+        (lambda m: {**m, "sample_rate_hz": 0}, "sample_rate_hz must be >= 1"),
     ])
     def test_malformed_manifest_values(self, ds, tmp_path, edit, match):
         save_dataset(tmp_path, ds)
@@ -543,6 +625,16 @@ class TestContainer:
         with pytest.raises(InputError, match="UTF-8") as exc:
             load_dataset(tmp_path)
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("station_file", [".", "missing.csv"])
+    def test_unreadable_station_file(self, ds, tmp_path, station_file):
+        save_dataset(tmp_path, ds)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    "station_file": station_file}))
+        with pytest.raises(InputError, match="cannot read station file") as exc:
+            load_dataset(tmp_path)
+        assert str(tmp_path / station_file) in str(exc.value)
 
     def test_wrong_version(self, ds, tmp_path):
         save_dataset(tmp_path, ds)
