@@ -29,20 +29,29 @@ from .errors import ShapeError
 # than 8 MB, and 32 MB was no faster but raised peak memory by 20%.
 _CHUNK_BYTES = 8 << 20
 
+# Outputs per window row of conv1d's blocked unfold (see _blocks).  A row of
+# B outputs copies (B-1)*stride + K input samples where B separate windows
+# copy B*K, and its GEMM is B times wider.  Past ceil(K/stride) outputs the
+# copy barely shrinks while the block matrix's zeros add multiply-adds.  On the
+# default conv1 (400 sequences, 2 cores, f32) 8 gave the lowest forward plus
+# kernel-gradient time of 4, 6, 8, 12 and 16; the quick-start K=32, stride-4
+# layers are capped at 8 by ceil(K/stride).
+_BLOCK = 8
+
 # Shape-only cost model that picks conv1d's path (see _fft_cheaper), in units
-# of one float32 im2col multiply-add: a complex float64 product costs 3 per
+# of one float32 direct multiply-add: a complex float64 product costs 3 per
 # real multiply-add and a length-n transform of one line 30 n log2 n.  Fitted
 # to forward plus backward times of both paths on the default model's conv
-# layers, FFT work on one thread (2-core host, OpenBLAS, 400 sequences):
-# conv2 0.87 s im2col against 0.53 s FFT, conv1 0.13 s against 0.23 s.  Extra
-# threads speed up only the FFT path (conv2 0.32 s on two), so the choice
-# errs towards im2col on hosts with more cores.  Fitted before the stride
-# fold, which made the FFT path cheaper: since then the default conv1 (left on
-# im2col) takes 0.183 / 0.164 s on the FFT path against 0.190 / 0.179 s on
-# im2col (forward plus kernel gradient, 400 sequences, median of 5, two pool
-# threads, two alternations).
-# The constants are deliberately left as they are: the FFT path's edge there
-# is within run-to-run noise, and refitting would move a pinned path choice.
+# layers, FFT work on one thread (2-core host, OpenBLAS, 400 sequences), when
+# the unfold path was the per-window im2col: conv2 0.87 s im2col against
+# 0.53 s FFT, conv1 0.13 s against 0.23 s.  Extra threads speed up only the
+# FFT path (conv2 0.32 s on two), so the choice errs towards the unfold on
+# hosts with more cores.  With the stride fold and the blocked unfold (same
+# host, 400 sequences, median of 5, two pool threads, two alternations):
+# conv1 forward plus kernel gradient 0.111 / 0.106 s blocked against
+# 0.238 / 0.205 s FFT; conv2 forward plus both gradients 0.830 / 0.875 s
+# blocked against 0.485 / 0.410 s FFT.  Both choices hold with margin, so the
+# constants stay as they are.
 _FFT_MAC_COST = 3.0
 _FFT_LINE_COST = 30.0
 
@@ -190,41 +199,84 @@ def _chunks(n: int, row_bytes: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
-def _windows(x: np.ndarray, K: int, stride: int) -> np.ndarray:
-    """im2col: (n, T, C) -> (n * J, K * C), row (i, j) = x[i, j*stride : j*stride + K]."""
-    C = x.shape[2]
-    return sliding_window_view(x, (K, C), axis=(1, 2))[:, ::stride, 0].reshape(-1, K * C)
+def _blocks(K: int, stride: int, J: int) -> tuple[int, int, int]:
+    """(B, Q, width) of the blocked unfold: B outputs per window row, Q = J // B
+    full rows per sequence, each reading width = (B-1)*stride + K samples."""
+    B = min(_BLOCK, -(-K // stride), J)
+    return B, J // B, (B - 1) * stride + K
 
 
-def _im2col_forward(xf, k, stride, J):
+def _block_kernel(k: np.ndarray, stride: int, B: int) -> np.ndarray:
+    """(K, C, F) -> block-Toeplitz (((B-1)*stride + K)*C, B*F) matrix whose
+    column block b is the flattened kernel shifted down b*stride rows.
+    B = 1 is a view of k."""
     K, C, F = k.shape
     kflat = k.reshape(K * C, F)
-    out = np.empty((xf.shape[0], J, F), dtype=np.result_type(xf, kflat))
-    for sl in _chunks(xf.shape[0], J * K * C * xf.itemsize):
-        np.matmul(_windows(xf[sl], K, stride), kflat, out=out[sl].reshape(-1, F))
+    if B == 1:
+        return kflat
+    w = np.zeros((((B - 1) * stride + K) * C, B * F), dtype=k.dtype)
+    for b in range(B):
+        w[b * stride * C:(b * stride + K) * C, b * F:(b + 1) * F] = kflat
+    return w
+
+
+def _block_rows(x: np.ndarray, width: int, step: int) -> np.ndarray:
+    """Unfold (n, T, C) -> (n * Q, width * C), row (i, q) = x[i, q*step : q*step + width]."""
+    C = x.shape[2]
+    return sliding_window_view(x, (width, C), axis=(1, 2))[:, ::step, 0].reshape(-1, width * C)
+
+
+def _unfold_forward(xf, k, stride, J):
+    K, C, F = k.shape
+    B, Q, width = _blocks(K, stride, J)
+    w = _block_kernel(k, stride, B)
+    n = xf.shape[0]
+    out = np.empty((n, J, F), dtype=np.result_type(xf, w))
+    full = out[:, :Q * B].reshape(n, Q, B * F)
+    for sl in _chunks(n, Q * width * C * xf.itemsize):
+        full[sl] = (_block_rows(xf[sl], width, B * stride) @ w).reshape(-1, Q, B * F)
+    r = J - Q * B
+    if r:
+        # the tail's r outputs: the top-left corner of the block matrix
+        t0, tw = Q * B * stride, (r - 1) * stride + K
+        np.matmul(xf[:, t0:t0 + tw].reshape(n, tw * C), w[:tw * C, :r * F],
+                  out=out[:, Q * B:].reshape(n, r * F))
     return out
 
 
-def _im2col_backward(xf, k, stride, g3, need_x, need_k):
+def _unfold_backward(xf, k, stride, g3, need_x, need_k):
     K, C, F = k.shape
-    J = g3.shape[1]
-    kflat = k.reshape(K * C, F)
-    chunks = _chunks(xf.shape[0], J * K * C * xf.itemsize)
+    n, J = g3.shape[:2]
+    B, Q, width = _blocks(K, stride, J)
+    w = _block_kernel(k, stride, B)
+    chunks = _chunks(n, Q * width * C * xf.itemsize)
+    g_full = g3[:, :Q * B].reshape(n, Q, B * F)
+    r = J - Q * B
+    t0, tw = Q * B * stride, (r - 1) * stride + K
+    g_tail = g3[:, Q * B:].reshape(n, r * F)
     gk = None
     if need_k:
-        gk = np.zeros_like(kflat)
+        gw = np.zeros_like(w)
         for sl in chunks:
-            gk += _windows(xf[sl], K, stride).T @ g3[sl].reshape(-1, F)
+            gw += _block_rows(xf[sl], width, B * stride).T @ g_full[sl].reshape(-1, B * F)
+        if r:
+            gw[:tw * C, :r * F] += xf[:, t0:t0 + tw].reshape(n, tw * C).T @ g_tail
+        # fold the B shifted copies of the kernel back into one
+        gk = gw[:K * C, :F]
+        for b in range(1, B):
+            gk = gk + gw[b * stride * C:(b * stride + K) * C, b * F:(b + 1) * F]
         gk = gk.reshape(K, C, F)
     gx = None
     if need_x:
         gx = np.zeros_like(xf)
         for sl in chunks:
-            cols = (g3[sl].reshape(-1, F) @ kflat.T).reshape(-1, J, K, C)
+            cols = (g_full[sl].reshape(-1, B * F) @ w.T).reshape(-1, Q, width, C)
             target = gx[sl]
-            for j in range(J):
-                # col2im: window j read rows j*stride .. j*stride + K - 1
-                target[:, j * stride:j * stride + K] += cols[:, j]
+            for q in range(Q):
+                # overlap-add: row q read samples q*B*stride .. + width - 1
+                target[:, q * B * stride:q * B * stride + width] += cols[:, q]
+        if r:
+            gx[:, t0:t0 + tw] += (g_tail @ w[:tw * C, :r * F].T).reshape(n, tw, C)
     return gx, gk
 
 
@@ -241,9 +293,10 @@ def _fft_length(n: int) -> int:
 
 
 def _fft_cheaper(T: int, K: int, C: int, F: int, stride: int) -> bool:
-    """Shape-only estimate of whether the FFT path beats im2col.
+    """Shape-only estimate of whether the FFT path beats the blocked unfold.
 
-    Per sequence, im2col does J*K*C*F multiply-adds.  The FFT path
+    Per sequence, the unfold side is costed as the direct J*K*C*F
+    multiply-adds (the block matrix's zeros are not counted).  The FFT path
     transforms C input lines of length L = stride * M and F output (or
     gradient) lines of length M, and multiplies W = L/2 + 1 complex (C, F)
     matrices, 4 W C F real multiply-adds.
@@ -265,13 +318,20 @@ def conv1d(x: Tensor, kernels: Tensor, stride: int = 1, bias: Tensor | None = No
 
     Two paths with one tape node, chosen from the shapes by _fft_cheaper.
 
-    - Unfold + GEMM (Chellapilla et al., 2006), for short kernels: each
-      chunk of whole sequences is unfolded into a (rows, K*C) window
-      matrix of at most _CHUNK_BYTES and takes one GEMM against the
-      (K*C, F) kernel.  The kernel gradient sums windows^T @ g over the
-      same chunks.  The input gradient (col2im) takes one GEMM
-      g @ kernel^T per chunk, then adds each window back onto the input
-      rows it read.
+    - Blocked unfold + GEMM (after MEC, Cho & Brand, 2017), for short
+      kernels: each window row holds B consecutive outputs, the input
+      samples x[q*B*stride : q*B*stride + (B-1)*stride + K], so an input
+      sample is copied about 1 + (K - stride)/(B*stride) times instead of
+      K/stride.  Each chunk of whole sequences (at most _CHUNK_BYTES of
+      rows) takes one GEMM against a block-Toeplitz kernel matrix, built
+      once per call, whose column block b is the flattened kernel shifted
+      down b*stride rows; the J mod B tail outputs use its top-left
+      corner.  The kernel gradient sums rows^T @ g into that matrix's
+      shape and folds its B shifted blocks back into (K, C, F).  The input
+      gradient takes one GEMM g @ matrix^T per chunk and overlap-adds each
+      row back onto the input samples it read: J/B adds, not J.  B = 1
+      (stride >= K, or J = 1) is the plain unfold (Chellapilla et al.,
+      2006) on a view of the kernels.
     - FFT (Mathieu, Henaff & LeCun, 2014), for long kernels over many
       channels (module ``fftconv``): per chunk of sequences x is
       transformed along time, each frequency takes one (C, F) product
@@ -297,7 +357,7 @@ def conv1d(x: Tensor, kernels: Tensor, stride: int = 1, bias: Tensor | None = No
         from . import fftconv  # compiled on first use
         path_forward, path_backward = fftconv.forward, fftconv.backward
     else:
-        path_forward, path_backward = _im2col_forward, _im2col_backward
+        path_forward, path_backward = _unfold_forward, _unfold_backward
     out = path_forward(xf, kernels.data, stride, J).reshape(*x.data.shape[:-2], J, F)
 
     def backward(g):

@@ -599,12 +599,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TisergcnError as exc:
+    except (TisergcnError, OSError) as exc:
+        # OSError: a missing input file, or an output directory that cannot
+        # be created (e.g. under a regular file)
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": "FileNotFoundError", "message": str(exc)}),
               file=sys.stderr)
         return 2
 

@@ -289,9 +289,14 @@ def load_checkpoint(path) -> Model:
         cfg = ModelConfig.from_dict(meta["cfg"])
     except (KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"stored model config does not fit ModelConfig: {exc}") from None
-    model = Model(meta["kind"], cfg, meta["n_nodes"])
+    try:
+        model = Model(meta["kind"], cfg, meta["n_nodes"])
+        entries = meta["params"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointFormatError(
+            f"metadata does not build a model: {type(exc).__name__}: {exc}") from None
     registry = model.named_params()
-    for entry in meta["params"]:
+    for entry in entries:
         name_len, = _unpack("<I", raw, off)
         off += 4
         name = raw[off:off + name_len].decode("utf-8", errors="replace")

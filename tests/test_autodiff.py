@@ -201,7 +201,8 @@ class TestChunkedConv:
     @pytest.mark.parametrize("stride,T", [(1, 12), (2, 13), (3, 12)])
     def test_multi_chunk_matches_oracle_and_fd(self, rng, monkeypatch, stride, T):
         J = (T - self.K) // stride + 1
-        row_bytes = J * self.K * self.C * 8
+        _, Q, width = ad._blocks(self.K, stride, J)
+        row_bytes = Q * width * self.C * 8
         # two sequences per chunk: chunks of 2, 2 and 1
         monkeypatch.setattr(ad, "_CHUNK_BYTES", 2 * row_bytes)
         assert [sl.indices(self.N) for sl in ad._chunks(self.N, row_bytes)] == \
@@ -218,6 +219,68 @@ class TestChunkedConv:
     def test_chunk_larger_than_cap_holds_one_sequence(self):
         assert [sl.indices(3) for sl in ad._chunks(3, ad._CHUNK_BYTES + 1)] == \
             [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
+
+
+# ---------------------------------------------------------------------------
+# blocked unfold: B outputs per window row, a J mod B tail, chunked sequences
+
+class TestBlockedUnfold:
+    C, F, N = 2, 3, 5
+
+    def spy(self, monkeypatch, name):
+        """Record every array the named autodiff helper returns."""
+        made = []
+        original = getattr(ad, name)
+
+        def wrapped(*args):
+            made.append(original(*args))
+            return made[-1]
+
+        monkeypatch.setattr(ad, name, wrapped)
+        return made
+
+    @pytest.mark.parametrize("K,stride,T,B,Q,r", [
+        (8, 1, 12, 5, 1, 0),    # J = 5 below _BLOCK: one row of J outputs
+        (4, 1, 13, 4, 2, 2),    # J % B != 0
+        (4, 1, 15, 4, 3, 0),    # J a multiple of B
+        (3, 3, 14, 1, 4, 0),    # stride == K: B = 1
+        (2, 3, 14, 1, 5, 0),    # stride > K: B = 1
+        (5, 2, 23, 3, 3, 1),    # K % stride != 0
+        (20, 2, 60, 8, 2, 5),   # B capped at _BLOCK
+        (6, 1, 6, 1, 1, 0),     # J = 1, as in the cnn cross layer
+    ])
+    def test_matches_oracle_and_fd_in_chunks(self, rng, monkeypatch, K, stride, T, B, Q, r):
+        J = (T - K) // stride + 1
+        width = (B - 1) * stride + K
+        assert ad._blocks(K, stride, J) == (B, Q, width) and J == Q * B + r
+        # two sequences per chunk: chunks of 2, 2 and 1
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", 2 * Q * width * self.C * 8)
+        rows = self.spy(monkeypatch, "_block_rows")
+        x = rng.standard_normal((self.N, T, self.C))
+        w = rng.standard_normal((K, self.C, self.F))
+        got = ad.conv1d(ad.Tensor(x), ad.Tensor(w), stride).data
+        assert [out.shape for out in rows] == [(n * Q, width * self.C) for n in (2, 2, 1)]
+        assert np.max(np.abs(got - conv1d_oracle(x, w, stride))) <= 1e-12
+
+        t = rng.standard_normal((self.N, J, self.F))
+        xp, wp = ad.parameter(x), ad.parameter(w)
+        check_gradients(lambda: ad.mse_loss(ad.conv1d(xp, wp, stride), t), [xp, wp])
+        # without the input gradient: the same kernel gradient, bitwise
+        wk = ad.parameter(w)
+        check_gradients(lambda: ad.mse_loss(ad.conv1d(ad.Tensor(x), wk, stride), t), [wk])
+        ad.backward(ad.mse_loss(ad.conv1d(xp, wp, stride), t))
+        ad.backward(ad.mse_loss(ad.conv1d(ad.Tensor(x), wk, stride), t))
+        assert np.array_equal(wk.grad, wp.grad)
+
+    @pytest.mark.parametrize("K,stride,T", [(3, 3, 14), (6, 1, 6)])
+    def test_one_output_per_row_multiplies_a_view_of_the_kernels(self, rng, monkeypatch,
+                                                                  K, stride, T):
+        made = self.spy(monkeypatch, "_block_kernel")
+        w = ad.parameter(rng.standard_normal((K, self.C, self.F)))
+        y = ad.conv1d(ad.Tensor(rng.standard_normal((self.N, T, self.C))), w, stride)
+        ad.backward(ad.mse_loss(y, np.zeros(y.shape)))
+        assert len(made) == 2
+        assert all(np.shares_memory(out, w.data) for out in made)
 
 
 # ---------------------------------------------------------------------------

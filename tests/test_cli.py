@@ -466,6 +466,26 @@ class TestErrorContract:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize("command", ["synth", "build-graph", "train", "eval",
+                                         "ablate-k", "ablate-window", "ablate-meta",
+                                         "report"])
+    def test_output_dir_under_a_file(self, workdir, single, trained, tmp_path, capsys,
+                                     command):
+        _, spec_path, data_dir = workdir
+        spec_single, single_out = single
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [command, "--out", str(blocker / "sub")] + {
+            "synth": ["--spec", spec_path],
+            "eval": ["--spec", spec_single, "--dataset", data_dir,
+                     "--checkpoint", str(single_out / "checkpoint.tsrg")],
+            "report": [str(trained)],
+        }.get(command, ["--spec", spec_path, "--dataset", data_dir])
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NotADirectoryError"
+
     def test_report_without_runs(self, tmp_path, capsys):
         rc = main(["report", "--out", str(tmp_path / "o")])
         assert rc == 2

@@ -229,6 +229,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("kind"),
+        lambda meta: meta.pop("params"),
+        lambda meta: meta.update(n_nodes="abc"),
+        lambda meta: meta.update(n_nodes=-1),
+        lambda meta: meta["cfg"].update(conv_kernels="ab"),
+    ], ids=["no-kind", "no-params", "n_nodes-abc", "n_nodes-negative", "conv_kernels-str"])
+    def test_bad_metadata_is_a_format_error(self, small_cfg, tmp_path, edit):
+        path = tmp_path / "model.tsrg"
+        save_checkpoint(build_tiser_gcn(small_cfg, 3), path)
+        raw = path.read_bytes()
+        blob_len = int.from_bytes(raw[8:12], "little")
+        meta = json.loads(raw[12:12 + blob_len])
+        edit(meta)
+        blob = json.dumps(meta, sort_keys=True).encode()
+        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob
+                         + raw[12 + blob_len:])
+        with pytest.raises(CheckpointFormatError, match="metadata"):
+            load_checkpoint(path)
+
     def test_config_from_older_version(self, small_cfg, tmp_path):
         # a stored config with a field ModelConfig no longer has
         model = build_tiser_gcn(small_cfg, 3)
