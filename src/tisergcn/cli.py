@@ -397,12 +397,12 @@ def cmd_eval(args) -> int:
     started = time.monotonic()
     spec = load_spec(args)
     prov = provenance(spec)
+    path = out_dir(args, "eval")
     ds = _load_windowed_dataset(spec)
     model = load_checkpoint(args.checkpoint)
     prop = _propagation(spec, ds, model.cfg)
     y_true = np.asarray(ds.Y, dtype=np.float64)
     y_pred = predict_batched(model, prop, ds.X, ds.stations.coords())
-    path = out_dir(args, "eval")
     write_json(os.path.join(path, "metrics.json"), {
         "provenance": prov,
         "model_kind": model.kind,
@@ -423,6 +423,7 @@ def _ablate(args, command: str, header: str, items, row) -> int:
     started = time.monotonic()
     spec = load_spec(args)
     prov = provenance(spec)
+    path = out_dir(args, command)
     ds = _load_windowed_dataset(spec)
     kind, mcfg, tcfg = _configs(spec, ds)
     graph = build_adjacency(ds.stations, float(spec["graph_k"]))
@@ -434,7 +435,6 @@ def _ablate(args, command: str, header: str, items, row) -> int:
 
     base = SimpleNamespace(spec=spec, prov=prov, ds=ds, run=run)
     rows = [row(item, base) for item in items(spec)]
-    path = out_dir(args, command)
     name = os.path.join(path, command.replace("-", "_") + ".csv")
     write_csv(name, prov, header, rows)
     write_run_log(path, command, started)

@@ -45,6 +45,12 @@ LOG_EPS = 1e-12
 _CHUNK_BYTES = 1 << 20
 # Steps per block of the blocked Newmark recursion.
 _NEWMARK_BLOCK = 32
+# Multiply-adds per GEMM call in the Newmark kernel: OpenBLAS runs a call of
+# at most 2^18 on the calling thread (its GEMM_MULTITHREAD_THRESHOLD rule).
+# On 2 cores, with larger calls each of the two synth threads woke the
+# 2-thread BLAS, and a 60-event 10-station synth took 1.09-1.34 s against
+# 0.92-1.12 s on one thread; with the slices it takes 0.69-0.86 s.
+_GEMM_MACS = 1 << 18
 
 # synthetic source model
 V_P_KM_S = 6.0
@@ -192,8 +198,32 @@ def _newmark_operators(dt: float, period: float, damping: float):
     return ops
 
 
+def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ b for 2-D a and b, in row slices of fewer than _GEMM_MACS
+    multiply-adds, with each row as one call over all rows gives it.  BLAS
+    rounds the rows of a last partial tile in its own way, so every slice
+    but the last holds a multiple of 64 rows, and a lone last row, which
+    numpy would send to GEMV, joins the slice before it."""
+    step = max(64, (_GEMM_MACS // (b.shape[0] * b.shape[1]) - 1) // 64 * 64)
+    m = a.shape[0]
+    bounds = [*range(0, m, step), m]
+    if m - bounds[-2] == 1 and len(bounds) > 2:
+        del bounds[-2]
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
+
+
+def _newmark_buffers(n: int, rows: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two working buffers of _newmark_peak_abs_accel for n items of
+    rows waveforms of T samples: whole items of about _CHUNK_BYTES of f64."""
+    item_size = rows * -(-(T - 1) // _NEWMARK_BLOCK) * _NEWMARK_BLOCK
+    size = min(max(1, _CHUNK_BYTES // (8 * item_size)), n) * item_size
+    return np.empty(size), np.empty(size)
+
+
 def _newmark_peak_abs_accel(accel: np.ndarray, dt: float, period: float,
-                            damping: float = SA_DAMPING) -> np.ndarray:
+                            damping: float = SA_DAMPING, *, buffers=None) -> np.ndarray:
     """Peak |absolute acceleration| of a damped SDOF oscillator, per row.
 
     accel: (..., T) ground acceleration.  Fixed-step average-acceleration
@@ -203,7 +233,9 @@ def _newmark_peak_abs_accel(accel: np.ndarray, dt: float, period: float,
     doubling chains the block-start states, and a rank-3 GEMM adds their
     free response.  The peak runs over the T - 1 steps only, not the
     padding of the last block.  Rows are taken in chunks of about
-    _CHUNK_BYTES of f64 through two reused buffers of that size.
+    _CHUNK_BYTES of f64 through the two reused ``buffers`` (from
+    _newmark_buffers, made here when not given), and each GEMM in row
+    slices of at most _GEMM_MACS multiply-adds.
     """
     accel = np.asarray(accel)
     lead, steps = accel.shape[:-1], accel.shape[-1] - 1
@@ -219,9 +251,8 @@ def _newmark_peak_abs_accel(accel: np.ndarray, dt: float, period: float,
     G, H, E, A0 = _newmark_operators(float(dt), float(period), float(damping))
 
     item_size = x.shape[1] * blocks * L
-    step = max(1, _CHUNK_BYTES // (8 * item_size))
-    dp_buf = np.empty(min(step, x.shape[0]) * item_size)
-    r_buf = np.empty_like(dp_buf)
+    dp_buf, r_buf = buffers or _newmark_buffers(*x.shape)
+    step = dp_buf.size // item_size
     for lo in range(0, x.shape[0], step):
         a = np.asarray(x[lo:lo + step], dtype=np.float64)
         rows = a.shape[0] * a.shape[1]
@@ -235,26 +266,35 @@ def _newmark_peak_abs_accel(accel: np.ndarray, dt: float, period: float,
         # then s_b = M^L s_(b-1) + dp_(b-1) E, summed by a doubling scan
         s = np.zeros((blocks, rows, 3))
         s[0, :, 2] = -a[..., 0].reshape(rows)
-        s[1:] = (dp @ E).reshape(rows, blocks, 3)[:, :-1].transpose(1, 0, 2)
+        dpE = _matmul_rows(dp, E, np.empty((dp.shape[0], 3)))
+        s[1:] = dpE.reshape(rows, blocks, 3)[:, :-1].transpose(1, 0, 2)
         flat = s.reshape(-1, 3)
         A, d = A0, 1
         while d < blocks:
             flat[d * rows:] += flat[:-d * rows] @ A
             A = A @ A
             d *= 2
-        r = np.matmul(dp, G, out=r_buf[:dp.size].reshape(dp.shape))
-        r += np.matmul(s.transpose(1, 0, 2).reshape(-1, 3), H, out=dp)
+        r = _matmul_rows(dp, G, r_buf[:dp.size].reshape(dp.shape))
+        r += _matmul_rows(s.transpose(1, 0, 2).reshape(-1, 3), H, dp)
         np.abs(r, out=r)
         peak[lo:lo + step] = r.reshape(a.shape[:2] + (blocks * L,))[..., :steps].max(axis=-1)
     return peak.reshape(lead)
 
 
-def _peak_ground_motion(w: np.ndarray, dt: float) -> np.ndarray:
-    """(PGA, PGV) of waveforms (n, T, C), taken in chunks of about
-    _CHUNK_BYTES of f64 with one reused velocity buffer."""
+def _velocity_buffer(n: int, T: int, C: int) -> np.ndarray:
+    """The velocity buffer of _peak_ground_motion for n waveforms (T, C):
+    whole waveforms of about _CHUNK_BYTES of f64."""
+    return np.empty((min(max(1, _CHUNK_BYTES // (8 * T * C)), n), T - 1, C))
+
+
+def _peak_ground_motion(w: np.ndarray, dt: float, vel: np.ndarray | None = None) -> np.ndarray:
+    """(PGA, PGV) of waveforms (n, T, C), taken in chunks of as many as the
+    reused velocity buffer ``vel`` holds (from _velocity_buffer, made here
+    when not given)."""
     out = np.empty((w.shape[0], 2))
-    step = max(1, _CHUNK_BYTES // (8 * w.shape[1] * w.shape[2]))
-    vel = np.empty((min(step, w.shape[0]), w.shape[1] - 1, w.shape[2]))
+    if vel is None:
+        vel = _velocity_buffer(*w.shape)
+    step = vel.shape[0]
     for lo in range(0, w.shape[0], step):
         x = np.asarray(w[lo:lo + step], dtype=np.float64)
         out[lo:lo + step, 0] = np.maximum(x.max(axis=(1, 2)), -x.min(axis=(1, 2)))
@@ -267,7 +307,12 @@ def _peak_ground_motion(w: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def compute_ims_batch(w: np.ndarray, dt: float) -> np.ndarray:
+def _ims_buffers(n: int, T: int, C: int):
+    """Working buffers of compute_ims_batch for up to n waveforms (T, C)."""
+    return _velocity_buffer(n, T, C), _newmark_buffers(n, C, T)
+
+
+def compute_ims_batch(w: np.ndarray, dt: float, *, buffers=None) -> np.ndarray:
     """Intensity measures for waveforms (..., T, C) -> (..., 5).
 
     Channels are accelerations; PGA and SA take the max over channels,
@@ -275,6 +320,8 @@ def compute_ims_batch(w: np.ndarray, dt: float) -> np.ndarray:
     PGA and PGV, and each SA period, take the waveforms in chunks of
     about _CHUNK_BYTES of f64 (at least one waveform each), so the working
     memory beyond the input stays a small multiple of that budget.
+    ``buffers`` (from _ims_buffers for at least as many waveforms of this
+    shape) hold that working memory in place of arrays made per call.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise InputError(f"dt must be positive and finite, got {dt}")
@@ -283,11 +330,13 @@ def compute_ims_batch(w: np.ndarray, dt: float) -> np.ndarray:
         raise InputError(f"waveform needs at least 2 samples, got shape {w.shape}")
     lead = w.shape[:-2]
     w = w.reshape(-1, *w.shape[-2:])
+    vel, newmark = buffers or (None, None)
     out = np.empty((w.shape[0], len(IM_NAMES)))
-    out[:, :2] = _peak_ground_motion(w, dt)
+    out[:, :2] = _peak_ground_motion(w, dt, vel)
     per_channel = np.moveaxis(w, -1, -2)  # (n, C, T)
     for col, period in enumerate(SA_PERIODS_S, start=2):
-        out[:, col] = _newmark_peak_abs_accel(per_channel, dt, period).max(axis=-1)
+        out[:, col] = _newmark_peak_abs_accel(per_channel, dt, period,
+                                              buffers=newmark).max(axis=-1)
     return out.reshape(lead + (len(IM_NAMES),))
 
 
@@ -347,10 +396,11 @@ def site_amplification(stations: StationSet, site_amp: float) -> np.ndarray:
 def synth_event_waveforms(stations: StationSet, event: SynthEvent,
                           total_seconds: float, sample_rate_hz: int = 100,
                           noise_amp: float = DEFAULT_NOISE_AMP,
-                          site_amp: float = 0.0) -> np.ndarray:
+                          site_amp: float = 0.0, *, out: np.ndarray | None = None) -> np.ndarray:
     """Full-length 3-channel acceleration traces (N, T_full, C) for one event.
 
-    The returned array first holds white noise of absolute amplitude
+    The returned array (``out`` if given, a C-contiguous float64 array of
+    that shape) first holds white noise of absolute amplitude
     ``noise_amp``, so quiet traces carry an absolute reference level.  Two
     wavelets per station are then added on top: a fast low-amplitude
     arrival at distance / v_p and a slower larger one at distance / v_s,
@@ -380,11 +430,12 @@ def synth_event_waveforms(stations: StationSet, event: SynthEvent,
     f_s = 0.7 * corner * (0.95 + 0.1 * rng.random())
     tau_s = 8.0 * 10.0 ** (0.15 * (event.magnitude - 4.0))
 
+    w = np.empty((n, t_len, 3)) if out is None else out
     if noise_amp > 0.0:
-        w = rng.standard_normal((n, t_len, 3))
+        rng.standard_normal(out=w)
         w *= noise_amp
     else:
-        w = np.zeros((n, t_len, 3))
+        w[...] = 0.0
 
     for i in range(n):
         waves = []
@@ -417,7 +468,12 @@ def synth_dataset(stations: StationSet, n_events: int, seed: int,
 
     X holds the normalized first ``input_seconds`` of each event; Y holds
     log10 intensity measures computed on the entire ``total_seconds``
-    waveform, so targets depend on signal the model never sees.  A narrow
+    waveform, so targets depend on signal the model never sees.  Events are
+    built on the process's thread pool (``pool.get_pool``), one task per
+    chunk of events whose f64 waveforms fit _CHUNK_BYTES (at least one
+    event).  Every event draws from its own seeded generator and every chunk
+    is computed the same way on any thread, so the bytes do not depend on
+    the pool size.  A narrow
     ``mag_range`` pins source strength, leaving source-receiver distance
     as the dominant driver of the targets; a nonzero ``site_amp`` adds a
     position-linear per-station amplification on top.
@@ -458,17 +514,29 @@ def synth_dataset(stations: StationSet, n_events: int, seed: int,
     X = np.empty((n_events, n, window, 3), dtype=np.float32)
     Y = np.empty((n_events, len(IM_NAMES), n), dtype=np.float32)
 
-    # events per chunk: as many full-length f64 waveforms as fit the budget
-    chunk = max(1, _CHUNK_BYTES // (8 * n * t_len * 3))
-    for lo in range(0, n_events, chunk):
-        hi = min(lo + chunk, n_events)
-        wave = np.empty((hi - lo, n, t_len, 3))
-        for e in range(lo, hi):
-            wave[e - lo] = synth_event_waveforms(stations, events[e], total_seconds,
-                                                 sample_rate_hz, noise_amp, site_amp)
-            X[e], _ = normalize_by_input_max(wave[e - lo, :, :window, :])
-        ims = compute_ims_batch(wave, dt)                       # (chunk, N, 5)
-        Y[lo:hi] = np.log10(ims + LOG_EPS).transpose(0, 2, 1)
+    # events per task: as many full-length f64 waveforms as fit the budget
+    chunk = min(max(1, _CHUNK_BYTES // (8 * n * t_len * 3)), n_events)
+    from .pool import get_pool
+    pool = get_pool()
+    # One slot of working buffers per thread that can hold a task, made on
+    # this thread: buffers made and freed on a pool thread stay in that
+    # thread's malloc arena, where training cannot reuse them.
+    slots = [(np.empty((chunk, n, t_len, 3)), _ims_buffers(chunk * n, t_len, 3))
+             for _ in range(min(pool.size, -(-n_events // chunk)))]
+
+    def task(lo, hi):
+        wave, buffers = slots.pop()  # pop and append are atomic under the GIL
+        try:
+            for e in range(lo, hi):
+                synth_event_waveforms(stations, events[e], total_seconds, sample_rate_hz,
+                                      noise_amp, site_amp, out=wave[e - lo])
+                X[e], _ = normalize_by_input_max(wave[e - lo, :, :window, :])
+            ims = compute_ims_batch(wave[:hi - lo], dt, buffers=buffers)  # (hi - lo, N, 5)
+            Y[lo:hi] = np.log10(ims + LOG_EPS).transpose(0, 2, 1)
+        finally:
+            slots.append((wave, buffers))
+
+    pool.run(task, n_events, chunk)
     ds = EventDataset(stations=stations, X=X, Y=Y, sample_rate_hz=sample_rate_hz)
     ds.validate()
     return ds

@@ -5,14 +5,14 @@ the convolution becomes one (C, F) product per frequency between the
 input's spectrum and the conjugate kernel spectrum (Mathieu, Henaff &
 LeCun, "Fast Training of Convolutional Networks through FFTs", 2014).
 ``autodiff.conv1d`` imports this module the first time its cost estimate
-picks the FFT path, so models that never do skip compiling it.
+picks the FFT path, so models that never do skip compiling it.  Each
+stage shares its sequences or frequencies out over the process's threads
+(``pool.get_pool``).
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,52 +23,6 @@ from . import autodiff as ad
 # each task's numpy call outweighs its Python overhead.
 _ROWS = 4      # sequences per transform
 _FREQS = 16    # frequencies per product
-
-
-class _Pool:
-    """Threads that share out the ranges of one numpy stage; pocketfft and
-    BLAS release the GIL.  A range is computed the same way whichever
-    thread takes it, so results do not depend on the pool size."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.pid = os.getpid()
-        self.executor = ThreadPoolExecutor(size - 1, "tisergcn-conv") if size > 1 else None
-
-    def run(self, fn, n: int, grain: int) -> None:
-        """fn(lo, hi) for each range [lo, lo + grain) of range(n).  The calling
-        thread and up to size - 1 pool threads take ranges in turn until none
-        is left, so a thread that starts late leaves its share to the others."""
-        ranges = iter(range(0, n, grain))  # next() is atomic under the GIL
-
-        def drain():
-            for lo in ranges:
-                fn(lo, min(lo + grain, n))
-
-        helpers = min(self.size, -(-n // grain)) - 1
-        futures = [self.executor.submit(drain) for _ in range(helpers)]
-        try:
-            drain()
-        finally:
-            for f in futures:
-                f.exception()  # waits for the task to end
-        for f in futures:
-            f.result()
-
-
-_pool: _Pool | None = None
-_pool_lock = threading.Lock()
-
-
-def _get_pool() -> _Pool:
-    """The process's pool, one thread per usable core, made on first use
-    (and made again in a forked child, whose copy has no threads)."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool.pid != os.getpid():
-            cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-            _pool = _Pool(len(cores) if cores else os.cpu_count() or 1)
-        return _pool
 
 
 class _Plan:
@@ -88,7 +42,8 @@ class _Plan:
         self.W = self.L // 2 + 1
         self.m = ad._chunk_rows(n, 16 * self.W * (C + F))
         self.lines = max(C, F)
-        self.pool = _get_pool()
+        from .pool import get_pool
+        self.pool = get_pool()
         self._local = threading.local()
 
     def scratch(self, name: str, shape, dtype=np.float64) -> np.ndarray:

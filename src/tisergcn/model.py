@@ -108,6 +108,9 @@ class Model:
     def __init__(self, kind: str, cfg: ModelConfig, n_nodes: int):
         if kind not in MODEL_KINDS:
             raise ConstructionError(f"unknown model kind {kind!r}")
+        if not isinstance(n_nodes, (int, np.integer)) or isinstance(n_nodes, bool) \
+                or n_nodes < 1:
+            raise ConstructionError(f"n_nodes must be an int of at least 1, got {n_nodes!r}")
         self.kind = kind
         self.cfg = cfg
         self.n_nodes = int(n_nodes)

@@ -5,13 +5,12 @@ nested-loop reimplementations, gradients against central finite
 differences (via the conftest helpers).
 """
 
-import sys
-
 import numpy as np
 import pytest
 
 import tisergcn.autodiff as ad
 import tisergcn.fftconv as fftconv
+import tisergcn.pool as pool_module
 from tisergcn.errors import ShapeError
 from tisergcn.model import ModelConfig, build_cnn_baseline, build_tiser_gcn
 
@@ -293,11 +292,10 @@ def fft_path(monkeypatch):
 
 @pytest.fixture
 def pools():
-    made = {size: fftconv._Pool(size) for size in (1, 2, 3)}
+    made = {size: pool_module.Pool(size) for size in (1, 2, 3)}
     yield made
     for pool in made.values():
-        if pool.executor is not None:
-            pool.executor.shutdown()
+        pool.close()
 
 
 def conv_and_grads(x, w, stride, g):
@@ -361,7 +359,7 @@ class TestFFTConv:
         g = rng.standard_normal((9, (40 - 9) // 2 + 1, 5))
         runs = []
         for size in (1, 2, 3):
-            monkeypatch.setattr(fftconv, "_pool", pools[size])
+            monkeypatch.setattr(pool_module, "_pool", pools[size])
             runs.append(conv_and_grads(x, w, 2, g))
         for run in runs[1:]:
             for a, b in zip(runs[0], run):
@@ -378,35 +376,6 @@ class TestFFTConv:
         for a, b in zip(single, double):
             assert a.dtype == np.float32
             assert np.array_equal(a, b.astype(np.float32))
-
-    def test_pool_runs_every_range_once_under_contention(self):
-        # more threads than cores and a short switch interval: a range lost
-        # or taken twice by the shared iterator shows in the multiset
-        pool = fftconv._Pool(4)
-        interval = sys.getswitchinterval()
-        seen = []
-        try:
-            sys.setswitchinterval(1e-6)
-            for _ in range(20):
-                seen.clear()
-                pool.run(lambda lo, hi: seen.append((lo, hi)), 101, 3)
-                assert sorted(seen) == [(lo, min(lo + 3, 101)) for lo in range(0, 101, 3)]
-        finally:
-            sys.setswitchinterval(interval)
-            pool.executor.shutdown()
-
-    def test_pool_raises_a_task_error(self):
-        pool = fftconv._Pool(2)
-
-        def fail(lo, hi):
-            if lo == 4:
-                raise ValueError("task 4")
-
-        try:
-            with pytest.raises(ValueError, match="task 4"):
-                pool.run(fail, 8, 1)
-        finally:
-            pool.executor.shutdown()
 
     @pytest.mark.parametrize("n,want", [(1, 1), (2, 2), (7, 8), (11, 12), (13, 15), (17, 18),
                                         (438, 450), (1000, 1000)])

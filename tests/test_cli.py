@@ -470,9 +470,14 @@ class TestErrorContract:
                                          "ablate-k", "ablate-window", "ablate-meta",
                                          "report"])
     def test_output_dir_under_a_file(self, workdir, single, trained, tmp_path, capsys,
-                                     command):
+                                     monkeypatch, command):
         _, spec_path, data_dir = workdir
         spec_single, single_out = single
+        # the directory is made before any training or prediction
+        called = []
+        for name in ("run_protocol", "predict_batched"):
+            monkeypatch.setattr(f"tisergcn.cli.{name}",
+                                lambda *args, name=name, **kwargs: called.append(name))
         blocker = tmp_path / "file"
         blocker.write_text("")
         argv = [command, "--out", str(blocker / "sub")] + {
@@ -485,6 +490,7 @@ class TestErrorContract:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "NotADirectoryError"
+        assert called == []
 
     def test_report_without_runs(self, tmp_path, capsys):
         rc = main(["report", "--out", str(tmp_path / "o")])

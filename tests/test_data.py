@@ -3,12 +3,15 @@ generator's physical invariants, and the on-disk container format."""
 
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from tisergcn import data
+from tisergcn import pool as pool_module
 from tisergcn.data import (
     DEFAULT_NOISE_AMP,
     EventDataset,
@@ -149,6 +152,47 @@ def synth_event_waveforms_broadcast(stations, event, total_seconds, sample_rate_
     return w
 
 
+# ---------------------------------------------------------------------------
+# dataset oracle: every event in turn on the calling thread, one chunk of
+# events of at most _CHUNK_BYTES of f64 waveforms at a time
+
+def synth_dataset_serial(stations, n_events, seed, input_seconds=10, total_seconds=60.0,
+                         sample_rate_hz=100, noise_amp=DEFAULT_NOISE_AMP,
+                         mag_range=(3.0, 5.5), site_amp=0.0):
+    rng = np.random.default_rng(seed)
+    coords = stations.coords()
+    lat_lo, lat_hi = coords[:, 0].min(), coords[:, 0].max()
+    lon_lo, lon_hi = coords[:, 1].min(), coords[:, 1].max()
+    margin_lat = 0.05 * (lat_hi - lat_lo) + 0.02
+    margin_lon = 0.05 * (lon_hi - lon_lo) + 0.02
+    events = []
+    for _ in range(n_events):
+        lat = rng.uniform(lat_lo - margin_lat, lat_hi + margin_lat)
+        lon = rng.uniform(lon_lo - margin_lon, lon_hi + margin_lon)
+        depth = rng.uniform(2.0, 15.0)
+        mag = rng.uniform(*mag_range)
+        t0 = rng.uniform(0.0, 1.0)
+        events.append(SynthEvent((lat, lon), depth, mag, t0, int(rng.integers(0, 2**62))))
+
+    n = len(stations)
+    window = input_seconds * sample_rate_hz
+    t_len = int(round(total_seconds * sample_rate_hz))
+    dt = 1.0 / sample_rate_hz
+    X = np.empty((n_events, n, window, 3), dtype=np.float32)
+    Y = np.empty((n_events, 5, n), dtype=np.float32)
+    chunk = max(1, data._CHUNK_BYTES // (8 * n * t_len * 3))
+    for lo in range(0, n_events, chunk):
+        hi = min(lo + chunk, n_events)
+        wave = np.empty((hi - lo, n, t_len, 3))
+        for e in range(lo, hi):
+            wave[e - lo] = synth_event_waveforms(stations, events[e], total_seconds,
+                                                 sample_rate_hz, noise_amp, site_amp)
+            X[e], _ = normalize_by_input_max(wave[e - lo, :, :window, :])
+        ims = compute_ims_batch(wave, dt)
+        Y[lo:hi] = np.log10(ims + LOG_EPS).transpose(0, 2, 1)
+    return events, X, Y
+
+
 BLOCK = data._NEWMARK_BLOCK
 
 
@@ -175,6 +219,19 @@ class TestBlockedNewmark:
     def test_zero_input_gives_zero(self):
         assert np.array_equal(_newmark_peak_abs_accel(np.zeros((3, 500)), 0.01, 1.0),
                               np.zeros(3))
+
+    # the row counts of one GEMM slice (256 rows of G, 2730 of E and H) and
+    # of a 1 MB chunk (4096 rows), either side of them, and last slices of
+    # one to seven rows
+    @pytest.mark.parametrize("rows", [1, 2, 3, 255, 256, 257, 258, 259, 263, 2730, 2731,
+                                      4096, 4097, 4103])
+    def test_sliced_gemm_equals_one_matmul(self, rng, rows):
+        G, H, E, _ = data._newmark_operators(0.01, 1.0, SA_DAMPING)
+        dp = rng.standard_normal((rows, BLOCK))
+        s = rng.standard_normal((rows, 3))
+        for a, b in ((dp, G), (dp, E), (s, H)):
+            got = data._matmul_rows(a, b, np.empty((rows, b.shape[1])))
+            assert got.tobytes() == np.matmul(a, b).tobytes()
 
     def test_leading_axes_and_strided_input(self, rng):
         w = rng.standard_normal((3, 2, 300, 3))
@@ -506,6 +563,92 @@ class TestWaveformOracle:
             ("A", 42.0, 13.0), ("B", 42.0, 13.4), ("C", 42.0, 14.6)])
         event = SynthEvent((42.0, 13.0), 5.0, 4.0, origin_time_s, seed=99)
         self.check(stations, event, 30.0)
+
+
+@pytest.fixture
+def pool_of_size(monkeypatch):
+    """Installs a process pool of the given size; closed at teardown."""
+    made = []
+
+    def install(size):
+        made.append(pool_module.Pool(size))
+        monkeypatch.setattr(pool_module, "_pool", made[-1])
+
+    yield install
+    monkeypatch.undo()
+    for p in made:
+        p.close()
+
+
+class TestSynthOnThePool:
+    STATIONS = random_stations(4, seed=3)
+    # one event's f64 waveforms: 4 stations x 300 samples x 3 channels
+    EVENT_BYTES = 8 * 4 * 300 * 3
+    KW = dict(input_seconds=2, total_seconds=6.0, sample_rate_hz=50, site_amp=0.3)
+
+    # 7 events in tasks of 1; of 3, 3 and 1; and of all 7
+    @pytest.mark.parametrize("per_task", [1, 3, 8])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_bytes_match_the_serial_loop(self, monkeypatch, pool_of_size, per_task, size):
+        monkeypatch.setattr(data, "_CHUNK_BYTES", per_task * self.EVENT_BYTES)
+        pool_of_size(size)
+        got = synth_dataset(self.STATIONS, 7, seed=11, **self.KW)
+        _, X, Y = synth_dataset_serial(self.STATIONS, 7, 11, **self.KW)
+        assert got.X.tobytes() == X.tobytes() and got.Y.tobytes() == Y.tobytes()
+
+    def test_bytes_under_contention(self, monkeypatch, pool_of_size):
+        # more threads than cores and a short switch interval: a buffer slot
+        # handed to two tasks at once shows in the bytes
+        monkeypatch.setattr(data, "_CHUNK_BYTES", self.EVENT_BYTES)
+        pool_of_size(4)
+        _, X, Y = synth_dataset_serial(self.STATIONS, 9, 11, **self.KW)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(3):
+                got = synth_dataset(self.STATIONS, 9, seed=11, **self.KW)
+                assert got.X.tobytes() == X.tobytes() and got.Y.tobytes() == Y.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_task_error_reaches_the_caller(self, monkeypatch, pool_of_size, size):
+        monkeypatch.setattr(data, "_CHUNK_BYTES", self.EVENT_BYTES)
+        pool_of_size(size)
+        events, X, Y = synth_dataset_serial(self.STATIONS, 8, 11, **self.KW)
+        real = data.synth_event_waveforms
+
+        def fail_on_event_5(stations, event, *args, **kwargs):
+            if event == events[5]:
+                raise ValueError("event 5")
+            return real(stations, event, *args, **kwargs)
+
+        monkeypatch.setattr(data, "synth_event_waveforms", fail_on_event_5)
+        caught = []
+
+        def call():
+            try:
+                synth_dataset(self.STATIONS, 8, seed=11, **self.KW)
+            except ValueError as exc:
+                caught.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(60.0)
+        assert not caller.is_alive(), "synth_dataset hung after a task error"
+        assert [str(e) for e in caught] == ["event 5"]
+        # the pool still runs every task
+        monkeypatch.setattr(data, "synth_event_waveforms", real)
+        got = synth_dataset(self.STATIONS, 8, seed=11, **self.KW)
+        assert got.X.tobytes() == X.tobytes() and got.Y.tobytes() == Y.tobytes()
+
+    def test_waveforms_written_into_out(self):
+        event = SynthEvent((42.5, 13.0), 5.0, 4.5, 0.3, seed=7)
+        for noise_amp in (DEFAULT_NOISE_AMP, 0.0):
+            want = synth_event_waveforms(self.STATIONS, event, 6.0, 50, noise_amp)
+            out = np.full((4, 300, 3), np.nan)
+            got = synth_event_waveforms(self.STATIONS, event, 6.0, 50, noise_amp, out=out)
+            assert got is out and got.tobytes() == want.tobytes()
 
 
 class TestSynthDataset:

@@ -77,6 +77,11 @@ class TestAssembly:
         with pytest.raises(ConstructionError):
             Model("transformer", small_cfg, 5)
 
+    @pytest.mark.parametrize("n_nodes", [0, -2, True, 2.0, "3"])
+    def test_n_nodes_must_be_a_positive_int(self, small_cfg, n_nodes):
+        with pytest.raises(ConstructionError, match="n_nodes"):
+            Model("tiser", small_cfg, n_nodes)
+
     def test_param_count_tiser_vs_cnn(self, small_cfg):
         # graph mixing reuses one (F_in, F_out) matrix per layer; the
         # cross-station conv carries a full (N, F_in, 64) bank
@@ -234,8 +239,11 @@ class TestCheckpoint:
         lambda meta: meta.pop("params"),
         lambda meta: meta.update(n_nodes="abc"),
         lambda meta: meta.update(n_nodes=-1),
+        lambda meta: meta.update(n_nodes=0),
+        lambda meta: meta.update(n_nodes=True),
         lambda meta: meta["cfg"].update(conv_kernels="ab"),
-    ], ids=["no-kind", "no-params", "n_nodes-abc", "n_nodes-negative", "conv_kernels-str"])
+    ], ids=["no-kind", "no-params", "n_nodes-abc", "n_nodes-negative", "n_nodes-zero",
+            "n_nodes-bool", "conv_kernels-str"])
     def test_bad_metadata_is_a_format_error(self, small_cfg, tmp_path, edit):
         path = tmp_path / "model.tsrg"
         save_checkpoint(build_tiser_gcn(small_cfg, 3), path)
