@@ -10,6 +10,7 @@ from .errors import (
     DatasetFormatError,
     DatasetVersionError,
     DegenerateInputError,
+    GraphReleasedError,
     InputError,
     ShapeError,
     TisergcnError,

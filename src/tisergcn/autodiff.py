@@ -9,8 +9,11 @@ mean-squared-error loss and an L2 weight penalty.
 Tensors wrap a numpy array; each op appends a tape node (the output
 tensor itself) holding its parents and a closure that maps the upstream
 gradient to per-parent gradients.  ``backward`` replays the tape in
-reverse topological order.  Everything is deterministic: identical
-inputs and op order give bitwise-identical outputs and gradients.
+reverse topological order and consumes it: each node drops its parents
+and closure as soon as its closure has run, so activations and gradients
+are freed during the pass, and backward through a consumed node raises
+GraphReleasedError.  Everything is deterministic: identical inputs and
+op order give bitwise-identical outputs and gradients.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeError
+from .errors import GraphReleasedError, ShapeError
 
 # Cap on the bytes of one conv1d window matrix.  On the default model (f32,
 # K=125, 2.5 MB of windows per conv2 sequence) a 4 MB cap trained 40% slower
@@ -111,7 +114,9 @@ def no_grad():
 def _node(data, parents, backward_fn) -> Tensor:
     if not (_grad_enabled.get() and _tracked(parents)):
         return Tensor(data)
-    return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward_fn)
+    # named after the op that made it: "conv1d.<locals>.backward" -> "conv1d"
+    return Tensor(data, requires_grad=True, name=backward_fn.__qualname__.partition(".")[0],
+                  _parents=tuple(parents), _backward=backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +147,7 @@ def _fused(out: np.ndarray, parents, backward_fn, bias, activation: str) -> Tens
             gb = g.reshape(-1, out.shape[-1]).sum(axis=0)
         return (*backward_fn(g), gb)
 
+    backward.__qualname__ = backward_fn.__qualname__  # the node takes the op's name
     return _node(out, (*parents, bias), backward)
 
 
@@ -498,11 +504,34 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _released(op: str):
+    def backward(g):
+        raise GraphReleasedError(
+            f"{op} node was consumed by an earlier backward; run the forward pass again")
+    return backward
+
+
+def _propagate(node: Tensor, grads: dict) -> None:
+    """Run node's closure on its gradient, taken out of grads, add the parent
+    gradients into grads and release the node.  Being a function, its frame is
+    the only other holder of those gradients, and it ends when this returns."""
+    parent_grads = node._backward(grads.pop(id(node)))
+    parents, node._parents, node._backward = node._parents, (), _released(node.name)
+    for p, pg in zip(parents, parent_grads):
+        if pg is None or not (isinstance(p, Tensor) and p.requires_grad):
+            continue
+        key = id(p)
+        grads[key] = grads[key] + pg if key in grads else pg
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(param) into each reachable parameter's .grad.
 
     loss must be a scalar.  Parameters not on the path keep their existing
-    (zero-initialized) gradient buffers.
+    (zero-initialized) gradient buffers.  The graph is consumed: each node
+    drops its parents and closure once its closure has run, so activations and
+    gradients are freed as the pass walks back.  Outputs keep their .data, but
+    a second backward through any released node raises GraphReleasedError.
     """
     if not isinstance(loss, Tensor) or loss.data.shape != ():
         got = getattr(loss, "shape", type(loss))
@@ -512,23 +541,16 @@ def backward(loss: Tensor) -> None:
 
     order = _topo_order(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.dtype)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
+    while order:
+        node = order.pop()
+        if id(node) not in grads:
             continue
-        if node._backward is None:
-            # leaf parameter
-            node.grad = node.grad + g if node.grad is not None else np.array(g)
-            continue
-        parent_grads = node._backward(g)
-        for p, pg in zip(node._parents, parent_grads):
-            if pg is None or not (isinstance(p, Tensor) and p.requires_grad):
-                continue
-            key = id(p)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
+        if node._backward is not None:
+            _propagate(node, grads)
+        elif node.grad is None:  # leaf parameter
+            node.grad = np.array(grads.pop(id(node)))
+        else:
+            node.grad = node.grad + grads.pop(id(node))
 
 
 def zero_grad(params) -> None:

@@ -17,6 +17,10 @@ class DegenerateInputError(TisergcnError, ValueError):
     """Input is structurally valid but degenerate (all-equal distances, all-zero event)."""
 
 
+class GraphReleasedError(TisergcnError, RuntimeError):
+    """Backward reached a tape node that an earlier backward already consumed."""
+
+
 class ConstructionError(TisergcnError, ValueError):
     """A model configuration produces an impossible layer chain."""
 

@@ -120,27 +120,18 @@ def forward(xf, k, stride, J):
 def backward(xf, k, stride, g3, need_x, need_k):
     """Input and kernel gradients for the upstream gradient g3 (n, J, F).
 
-    The kernel gradient accumulates one spectrum over all chunks and
-    inverts it once.  A second pass gives the input gradient, the
-    stride-upsampled g's spectrum (its length-M one, repeated) times the
-    kernel spectrum; g is transformed in both passes so that the
-    kernel-gradient spectrum and the input gradient are never held at once.
+    One pass over the chunks transforms each chunk of g once, to gs.  The
+    kernel gradient accumulates conj(X)^T gs over all chunks into one
+    spectrum, inverted once at the end; the input gradient is gs (the
+    stride-upsampled g's spectrum: its length-M one, repeated) times the
+    kernel spectrum, inverted per chunk.
     """
     n, T, C = xf.shape
     K, _, F = k.shape
     plan = _Plan(n, T, C, F, stride)
     W, m, run = plan.W, plan.m, plan.pool.run
     gs = np.empty((W, m, F), np.complex128)
-    xs = np.empty((W, m, C), np.complex128)  # spectrum of x, or of the input gradient
-
-    def chunks():
-        """Per chunk (lo, b), after g's spectrum is in gs."""
-        for lo in range(0, n, m):
-            b = min(m, n - lo)
-            run(lambda i, j: plan.to_spectra(g3[lo + i:lo + j], plan.M, gs[:, i:j]), b, _ROWS)
-            yield lo, b
-
-    gk = None
+    xs = np.empty((W, m, C), np.complex128)  # spectrum of x, then of the input gradient
     if need_k:
         acc = np.zeros((W, C, F), np.complex128)
 
@@ -150,22 +141,26 @@ def backward(xf, k, stride, g3, need_x, need_k):
             part = plan.scratch("part", (_FREQS, C, F), np.complex128)[:j - i]
             acc[i:j] += np.matmul(xw.transpose(0, 2, 1), gs[i:j, :b], out=part)
 
-        for lo, b in chunks():
+    gx = None
+    if need_x:
+        ks = plan.kernel_spectrum(k)
+        gx = np.empty_like(xf)
+    for lo in range(0, n, m):
+        b = min(m, n - lo)
+        run(lambda i, j: plan.to_spectra(g3[lo + i:lo + j], plan.M, gs[:, i:j]), b, _ROWS)
+        if need_k:
             run(lambda i, j: plan.to_spectra(xf[lo + i:lo + j], plan.L, xs[:, i:j]), b, _ROWS)
             run(lambda i, j: accumulate(i, j, b), W, _FREQS)
+        if need_x:
+            run(lambda i, j: np.matmul(gs[i:j, :b], ks[i:j].transpose(0, 2, 1), out=xs[i:j, :b]),
+                W, _FREQS)
+            run(lambda i, j: plan.from_spectra(xs[:, i:j], plan.L, gx[lo + i:lo + j]), b, _ROWS)
+    gk = None
+    if need_k:
         gk = np.empty(k.shape, k.dtype)
 
         def invert(i, j):
             gk[:, i:j] = np.fft.irfft(np.conjugate(acc[:, i:j]), plan.L, axis=0)[:K]
 
         run(invert, C, 1)
-        del acc  # freed before the input-gradient pass allocates gx
-    gx = None
-    if need_x:
-        ks = plan.kernel_spectrum(k)
-        gx = np.empty_like(xf)
-        for lo, b in chunks():
-            run(lambda i, j: np.matmul(gs[i:j, :b], ks[i:j].transpose(0, 2, 1), out=xs[i:j, :b]),
-                W, _FREQS)
-            run(lambda i, j: plan.from_spectra(xs[:, i:j], plan.L, gx[lo + i:lo + j]), b, _ROWS)
     return gx, gk

@@ -5,13 +5,15 @@ nested-loop reimplementations, gradients against central finite
 differences (via the conftest helpers).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import tisergcn.autodiff as ad
 import tisergcn.fftconv as fftconv
 import tisergcn.pool as pool_module
-from tisergcn.errors import ShapeError
+from tisergcn.errors import GraphReleasedError, ShapeError
 from tisergcn.model import ModelConfig, build_cnn_baseline, build_tiser_gcn
 
 from conftest import check_gradients
@@ -615,3 +617,77 @@ class TestEngine:
             ad.mse_loss(two, np.zeros((2, 3)))
         with pytest.raises(ShapeError):
             ad.concat_last([two, three])
+
+
+# ---------------------------------------------------------------------------
+# backward consumes the graph
+
+class TestReleasedGraph:
+    def chain(self, rng):
+        w = ad.parameter(rng.standard_normal((3, 2, 4)))
+        pred = ad.conv1d(ad.Tensor(rng.standard_normal((2, 9, 2))), w, 2, activation="relu")
+        return w, pred
+
+    def test_second_backward_raises_and_data_stays(self, rng):
+        w, pred = self.chain(rng)
+        loss = ad.mse_loss(pred, np.zeros(pred.shape))
+        ad.backward(loss)
+        grad = w.grad.copy()
+        with pytest.raises(GraphReleasedError, match="mse_loss"):
+            ad.backward(loss)
+        assert np.array_equal(w.grad, grad)
+        assert pred.data.shape == (2, 4, 4) and loss.data.shape == ()
+
+    def test_new_loss_on_a_consumed_intermediate_raises(self, rng):
+        w, pred = self.chain(rng)
+        ad.backward(ad.mse_loss(pred, np.zeros(pred.shape)))
+        grad = w.grad.copy()
+        with pytest.raises(GraphReleasedError, match="conv1d"):
+            ad.backward(ad.mse_loss(pred, np.ones(pred.shape)))
+        assert np.array_equal(w.grad, grad)
+
+    def test_released_nodes_drop_parents_and_closures(self, rng):
+        w, pred = self.chain(rng)
+        loss = ad.mse_loss(pred, np.zeros(pred.shape))
+        ad.backward(loss)
+        assert pred._parents == () and loss._parents == ()
+        with pytest.raises(GraphReleasedError):
+            pred._backward(np.zeros(pred.shape))
+
+    def test_backward_peak_memory_is_bounded(self, rng, monkeypatch):
+        """A gradient lives in backward's table until its consumer takes it,
+        and each node's activations go with its closure.  Unfold conv, FFT
+        conv, reshape, matmul and loss, f64: the traced peak inside backward
+        stays below the two activations plus 2.5 gradients of the largest of
+        them.  Held loop references add a whole gradient at the FFT conv."""
+        n, T, C0, C1, C2, P, K1, K2, s2 = 256, 400, 2, 8, 16, 3, 4, 32, 2
+        J1 = T - K1 + 1
+        J2 = (J1 - K2) // s2 + 1
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", 64 << 10)  # small spectra chunks
+        monkeypatch.setattr(ad, "_fft_cheaper", lambda T, K, C, F, stride: C == C1)
+        pool = pool_module.Pool(1)                            # one thread's scratch
+        monkeypatch.setattr(pool_module, "_pool", pool)
+        k1, b1 = ad.parameter(rng.standard_normal((K1, C0, C1))), ad.parameter(np.ones(C1))
+        k2, b2 = ad.parameter(rng.standard_normal((K2, C1, C2))), ad.parameter(np.ones(C2))
+        dense = ad.parameter(rng.standard_normal((J2 * C2, P)))
+        x, t = ad.Tensor(rng.standard_normal((n, T, C0))), rng.standard_normal((n, P))
+
+        def loss():
+            h = ad.conv1d(x, k1, 1, bias=b1, activation="relu")
+            h = ad.conv1d(h, k2, s2, bias=b2, activation="relu")
+            return ad.mse_loss(ad.matmul(ad.reshape(h, (n, J2 * C2)), dense), t)
+
+        try:
+            ad.backward(loss())                               # warm: imports, caches
+            tracemalloc.start()
+            try:
+                final = loss()
+                tracemalloc.reset_peak()
+                ad.backward(final)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            pool.close()
+        a1, a2 = 8 * n * J1 * C1, 8 * n * J2 * C2
+        assert peak < a1 + a2 + 2.5 * max(a1, a2)
