@@ -144,7 +144,10 @@ def _fused(out: np.ndarray, parents, backward_fn, bias, activation: str) -> Tens
             g = g * (1.0 - out * out)
         gb = None
         if bias is not None and bias.requires_grad:
-            gb = g.reshape(-1, out.shape[-1]).sum(axis=0)
+            # as a GEMV: numpy's axis-0 sum over a tall (M, F) matrix is up to
+            # 17x slower (desk conv1: 48,600 x 8)
+            g2 = g.reshape(-1, out.shape[-1])
+            gb = np.ones(g2.shape[0], g.dtype) @ g2
         return (*backward_fn(g), gb)
 
     backward.__qualname__ = backward_fn.__qualname__  # the node takes the op's name
@@ -157,7 +160,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
 
     a: (..., m, k), b: (k, n), bias: (n,) or None -> (..., m, n), one tape
     node.  Gradients, with g taken back through the activation: da = g b^T,
-    db = fold(a)^T fold(g), dbias = g summed over all but the last axis.
+    db = fold(a)^T fold(g), dbias = ones^T fold(g) (g summed over all but the
+    last axis).
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
