@@ -125,26 +125,38 @@ def normalize_by_input_max(x_event: np.ndarray) -> tuple[np.ndarray, float]:
     return x_event / scale, scale
 
 
+def _window_samples(seconds: int, sample_rate_hz: int, n_samples: int) -> int:
+    """Samples in the first ``seconds``, which must lie in [4, 10] and fit in n_samples."""
+    if not (4 <= seconds <= 10):
+        raise InputError(f"window seconds must be in [4, 10], got {seconds}")
+    t2 = seconds * sample_rate_hz
+    if t2 > n_samples:
+        raise InputError(f"cannot truncate to {t2} samples, window has {n_samples}")
+    return t2
+
+
 def truncate_window(x: np.ndarray, seconds: int, sample_rate_hz: int = 100) -> np.ndarray:
     """Keep the first ``seconds`` of an event window and re-normalize.
 
     x: (N, T, C).  seconds must lie in [4, 10] and fit inside x.
     """
-    if not (4 <= seconds <= 10):
-        raise InputError(f"window seconds must be in [4, 10], got {seconds}")
-    t2 = seconds * sample_rate_hz
-    if t2 > x.shape[1]:
-        raise InputError(f"cannot truncate to {t2} samples, window has {x.shape[1]}")
-    out, _ = normalize_by_input_max(x[:, :t2, :])
+    out, _ = normalize_by_input_max(x[:, :_window_samples(seconds, sample_rate_hz, x.shape[1])])
     return out
 
 
 def truncate_dataset(ds: EventDataset, seconds: int) -> EventDataset:
-    """Per-event truncation of the whole dataset; targets are unchanged."""
-    xs = np.stack([
-        truncate_window(np.asarray(ds.X[e], dtype=np.float64), seconds, ds.sample_rate_hz)
-        for e in range(ds.n_events)
-    ]).astype(ds.X.dtype)
+    """truncate_window on every event at once; targets are unchanged.
+
+    Each event's window is divided by its largest absolute amplitude in
+    float64 and the quotient cast back to the dataset's dtype.
+    """
+    x = ds.X[:, :, :_window_samples(seconds, ds.sample_rate_hz, ds.n_samples)]
+    scale = np.abs(x).max(axis=(1, 2, 3)).astype(np.float64)
+    if not scale.all():
+        raise DegenerateInputError(
+            f"event {int(np.argmin(scale))}: all-zero event window cannot be normalized")
+    xs = np.empty(x.shape, ds.X.dtype)
+    np.divide(x, scale[:, None, None, None], out=xs, dtype=np.float64, casting="same_kind")
     return EventDataset(stations=ds.stations, X=xs, Y=ds.Y.copy(),
                         sample_rate_hz=ds.sample_rate_hz)
 

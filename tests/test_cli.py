@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from tisergcn.cli import main
-from tisergcn.data import load_dataset
+from tisergcn.data import EventDataset, load_dataset, save_dataset
 
 
 TINY_SPEC = {
@@ -448,6 +448,19 @@ class TestErrorContract:
         err = json.loads(lines[0])
         assert err["error"] == "InputError"
         assert "cannot read station file" in err["message"]
+
+    def test_window_on_a_dataset_without_events(self, workdir, tmp_path, capsys):
+        _, spec_path, data_dir = workdir
+        ds = load_dataset(data_dir)
+        empty = tmp_path / "empty"
+        save_dataset(str(empty), EventDataset(stations=ds.stations, X=ds.X[:0], Y=ds.Y[:0],
+                                              sample_rate_hz=ds.sample_rate_hz))
+        rc = main(["train", "--spec", spec_path, "--dataset", str(empty), "--window", "4",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InputError"
 
     def test_spec_not_utf8(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -426,6 +426,34 @@ class TestNormalization:
         assert np.array_equal(cut.Y, ds.Y)
         assert cut.input_seconds == 5
 
+    @pytest.mark.parametrize("seconds", [4, 7, 10])
+    def test_truncate_dataset_equals_per_event_loop(self, seconds):
+        ds = synth_dataset(random_stations(4, seed=1), 9, seed=3, input_seconds=10,
+                           total_seconds=20.0)
+        loop = np.stack([truncate_window(np.asarray(ds.X[e], dtype=np.float64), seconds, 100)
+                         for e in range(ds.n_events)]).astype(ds.X.dtype)
+        cut = truncate_dataset(ds, seconds).X
+        assert cut.dtype == ds.X.dtype and cut.tobytes() == loop.tobytes()
+
+    def test_truncate_dataset_errors(self):
+        ds = synth_dataset(random_stations(3, seed=1), 4, seed=2, input_seconds=5,
+                           total_seconds=10.0)
+        for bad in (3, 6, 11):
+            with pytest.raises(InputError):
+                truncate_dataset(ds, bad)
+        x = ds.X.copy()
+        x[2, :, :400] = 0.0
+        quiet = EventDataset(stations=ds.stations, X=x, Y=ds.Y, sample_rate_hz=100)
+        with pytest.raises(DegenerateInputError, match="event 2"):
+            truncate_dataset(quiet, 4)
+
+    def test_truncate_dataset_without_events(self):
+        ds = synth_dataset(random_stations(3, seed=1), 2, seed=2, input_seconds=5,
+                           total_seconds=10.0)
+        empty = EventDataset(stations=ds.stations, X=ds.X[:0], Y=ds.Y[:0], sample_rate_hz=100)
+        cut = truncate_dataset(empty, 4)
+        assert cut.X.shape == (0, 3, 400, 3) and cut.X.dtype == ds.X.dtype
+
 
 class TestSyntheticGenerator:
     def setup_method(self):
