@@ -517,8 +517,8 @@ def _released(op: str):
 
 def _propagate(node: Tensor, grads: dict) -> None:
     """Run node's closure on its gradient, taken out of grads, add the parent
-    gradients into grads and release the node.  Being a function, its frame is
-    the only other holder of those gradients, and it ends when this returns."""
+    gradients into grads and release the node.  No caller's variable holds
+    these gradients, so each is freed as soon as its consumer drops it."""
     parent_grads = node._backward(grads.pop(id(node)))
     parents, node._parents, node._backward = node._parents, (), _released(node.name)
     for p, pg in zip(parents, parent_grads):
