@@ -45,6 +45,7 @@ from .model import (
 )
 from .data import (
     EventDataset,
+    SynthConfig,
     SynthEvent,
     compute_ims,
     load_dataset,

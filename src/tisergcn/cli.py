@@ -13,18 +13,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
-import typing
-from dataclasses import replace
-from types import SimpleNamespace, UnionType
+from dataclasses import asdict, dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .data import (
-    DEFAULT_NOISE_AMP,
+    SynthConfig,
     load_dataset,
     random_stations,
     save_dataset,
@@ -33,7 +31,8 @@ from .data import (
 )
 from .errors import InputError, TisergcnError
 from .geo import build_adjacency, graph_stats, graph_to_dict, propagation_matrix
-from .model import IM_NAMES, MODEL_KINDS, Model, ModelConfig, load_checkpoint, save_checkpoint
+from .model import (IM_NAMES, MODEL_KINDS, Model, ModelConfig, check_fields, load_checkpoint,
+                    save_checkpoint)
 from .train import (
     TrainConfig,
     TrainHistory,
@@ -43,35 +42,56 @@ from .train import (
     train,
 )
 
-DEFAULT_KS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
-DEFAULT_WINDOWS = (10, 9, 8, 7, 6, 5, 4)
-
 
 # ---------------------------------------------------------------------------
 # spec handling and provenance
 
+@dataclass(frozen=True)
+class AblateConfig:
+    """The ``ablate`` spec section: the values the sweeps run over."""
+
+    ks: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    windows: tuple[int, ...] = (10, 9, 8, 7, 6, 5, 4)
+
+    def __post_init__(self):
+        check_fields(self, InputError, ks="[0, 1]", windows="[4, 10]")
+
+
+@dataclass(frozen=True)
+class Spec:
+    """A whole spec: the top-level values, ``model.kind`` and one config
+    per section.  Each value is kept as written (a list as a tuple), so
+    spec_dict gives back the JSON that was loaded."""
+
+    dataset: str | None = None
+    graph_k: float = 0.3
+    window_seconds: int | None = None
+    protocol: str = "cv"
+    seed: int = 0
+    kind: str = "tiser"
+    synth: SynthConfig = SynthConfig()
+    model: ModelConfig = ModelConfig()
+    train: TrainConfig = TrainConfig()
+    ablate: AblateConfig = AblateConfig()
+
+    def __post_init__(self):
+        check_fields(self, InputError, graph_k="[0, 1]", window_seconds="[4, 10]",
+                     protocol=("cv", "single"), seed="[0, inf)", kind=MODEL_KINDS)
+
+
+_SECTIONS = {"synth": SynthConfig, "model": ModelConfig, "train": TrainConfig,
+             "ablate": AblateConfig}
+
+
+def spec_dict(spec: Spec) -> dict:
+    """The spec as JSON values, with ``kind`` inside the ``model`` section."""
+    out = asdict(spec)
+    out["model"] = {"kind": out.pop("kind"), **out["model"]}
+    return out
+
+
 def default_spec() -> dict:
-    return {
-        "dataset": None,
-        "synth": {
-            "n_stations": 20,
-            "n_events": 400,
-            "station_seed": 7,
-            "input_seconds": 10,
-            "total_seconds": 60.0,
-            "sample_rate_hz": 100,
-            "noise_amp": DEFAULT_NOISE_AMP,
-            "mag_range": [3.0, 5.5],
-            "site_amp": 0.0,
-        },
-        "model": {"kind": "tiser", **ModelConfig().to_dict()},
-        "train": TrainConfig().to_dict(),
-        "graph_k": 0.3,
-        "window_seconds": None,
-        "protocol": "cv",
-        "seed": 0,
-        "ablate": {"ks": list(DEFAULT_KS), "windows": list(DEFAULT_WINDOWS)},
-    }
+    return spec_dict(Spec())
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -84,19 +104,7 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _check_keys(base: dict, user, where: str = "") -> None:
-    """Reject a spec section that is not an object or has a key `base` lacks."""
-    if not isinstance(user, dict):
-        raise InputError(f"spec{where} must be a JSON object")
-    unknown = set(user) - set(base)
-    if unknown:
-        raise InputError(f"unknown spec keys{where}: {sorted(unknown)}")
-    for key, val in user.items():
-        if isinstance(base[key], dict):
-            _check_keys(base[key], val, f" section {key!r}")
-
-
-def load_spec(args) -> dict:
+def load_spec(args) -> Spec:
     """Defaults merged with the user spec and flags, validated before any I/O."""
     spec = default_spec()
     if getattr(args, "spec", None):
@@ -107,7 +115,8 @@ def load_spec(args) -> dict:
                 raise InputError(f"{args.spec}: not UTF-8 text at byte {exc.start}") from None
             except json.JSONDecodeError as exc:
                 raise InputError(f"{args.spec}: invalid JSON at offset {exc.pos}: {exc.msg}")
-        _check_keys(spec, user)
+        if not isinstance(user, dict):
+            raise InputError(f"{args.spec}: the spec must be a JSON object")
         spec = _merge(spec, user)
     if getattr(args, "seed", None) is not None:
         spec["seed"] = args.seed
@@ -117,80 +126,13 @@ def load_spec(args) -> dict:
         spec["graph_k"] = args.k
     if getattr(args, "window", None) is not None:
         spec["window_seconds"] = args.window
-    if spec["model"]["kind"] not in MODEL_KINDS:
-        raise InputError(f"unknown model kind {spec['model']['kind']!r}")
-    if spec["protocol"] not in ("cv", "single"):
-        raise InputError(f"unknown protocol {spec['protocol']!r}")
-    _check_data_values(spec)
-    _typed_configs(spec)
-    return spec
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value is acceptable for a config field annotated `hint`."""
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
-    if isinstance(hint, UnionType):
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _check_types(values: dict, hints: dict, where: str) -> None:
-    for key, val in values.items():
-        if key in hints and not _fits(val, hints[key]):
-            want = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
-            raise InputError(f"{where}: {key} must be {want}, got {val!r}")
-
-
-# declared types of the spec values outside the `model` and `train` sections
-_TOP_TYPES = {"dataset": str | None, "graph_k": float, "window_seconds": int | None,
-              "seed": int}
-_SYNTH_TYPES = {"n_stations": int, "n_events": int, "station_seed": int,
-                "input_seconds": int, "total_seconds": float, "sample_rate_hz": int,
-                "noise_amp": float, "mag_range": tuple[float, ...], "site_amp": float}
-
-
-def _check_data_values(spec: dict) -> None:
-    """Type- and range-check the top-level values and the `synth` section;
-    a failure is an InputError."""
-    _check_types(spec, _TOP_TYPES, "spec")
-    s = spec["synth"]
-    _check_types(s, _SYNTH_TYPES, "spec section 'synth'")
-    mags = s["mag_range"]
-    limits = (
-        ("graph_k must be in [0, 1]", 0.0 <= spec["graph_k"] <= 1.0),
-        ("window_seconds must be in [4, 10]",
-         spec["window_seconds"] is None or 4 <= spec["window_seconds"] <= 10),
-        ("seed must be >= 0", spec["seed"] >= 0),
-        ("synth.n_stations must be >= 2", s["n_stations"] >= 2),
-        ("synth.n_events must be >= 1", s["n_events"] >= 1),
-        ("synth.station_seed must be >= 0", s["station_seed"] >= 0),
-        ("synth.input_seconds must be >= 1", s["input_seconds"] >= 1),
-        ("synth.total_seconds must be finite and exceed input_seconds",
-         s["input_seconds"] < s["total_seconds"] < math.inf),
-        ("synth.sample_rate_hz must be >= 1", s["sample_rate_hz"] >= 1),
-        ("synth.noise_amp must be finite and >= 0", 0.0 <= s["noise_amp"] < math.inf),
-        ("synth.mag_range must be two finite, ordered magnitudes",
-         len(mags) == 2 and all(map(math.isfinite, mags)) and mags[0] <= mags[1]),
-        ("synth.site_amp must be finite", math.isfinite(s["site_amp"])),
-    )
-    for message, ok in limits:
-        if not ok:
-            raise InputError(f"invalid spec: {message}")
-
-
-def _typed_configs(spec: dict) -> tuple[str, ModelConfig, TrainConfig]:
-    """Model kind and typed configs of the spec; a value of the wrong type
-    or out of range is an InputError."""
-    section = dict(spec["model"])
-    kind = section.pop("kind")
-    _check_types(section, typing.get_type_hints(ModelConfig), "spec section 'model'")
-    _check_types(spec["train"], typing.get_type_hints(TrainConfig), "spec section 'train'")
+    # a section that is not an object fails at **, and an unknown key or a
+    # value of the wrong type or out of range in the section's constructor
     try:
-        return kind, ModelConfig.from_dict(section), TrainConfig.from_dict(spec["train"])
+        spec["model"] = {**spec["model"]}
+        kind = spec["model"].pop("kind")
+        sections = {key: cls(**spec.pop(key)) for key, cls in _SECTIONS.items()}
+        return Spec(kind=kind, **sections, **spec)
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid spec: {exc}") from None
 
@@ -215,19 +157,19 @@ def code_version() -> str:
     return digest.hexdigest()[:12]
 
 
-def provenance(spec: dict) -> dict:
-    data_id = {"dataset": spec["dataset"], "synth": spec["synth"],
-               "window_seconds": spec["window_seconds"]}
+def provenance(spec: Spec) -> dict:
+    data_id = {"dataset": spec.dataset, "synth": asdict(spec.synth),
+               "window_seconds": spec.window_seconds}
     return {
-        "spec_sha256": spec_hash(spec),
+        "spec_sha256": spec_hash(spec_dict(spec)),
         "code_version": code_version(),
         "data_hash": spec_hash(data_id),
     }
 
 
-def dataset_path(spec: dict) -> str:
-    if spec["dataset"]:
-        return spec["dataset"]
+def dataset_path(spec: Spec) -> str:
+    if spec.dataset:
+        return spec.dataset
     return os.path.join(os.environ.get("TISER_DATA_DIR", os.getcwd()), "dataset")
 
 
@@ -262,23 +204,21 @@ def write_run_log(path: str, command: str, started: float) -> None:
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
-def _load_windowed_dataset(spec: dict):
+def _load_windowed_dataset(spec: Spec):
     ds = load_dataset(dataset_path(spec))
-    if spec["window_seconds"] is not None:
-        ds = truncate_dataset(ds, int(spec["window_seconds"]))
+    if spec.window_seconds is not None:
+        ds = truncate_dataset(ds, spec.window_seconds)
     return ds
 
 
-def _configs(spec: dict, ds) -> tuple[str, ModelConfig, TrainConfig]:
-    """Model kind and typed configs; the input shape comes from the dataset."""
-    kind, cfg, tcfg = _typed_configs(spec)
-    cfg = replace(cfg, input_seconds=ds.input_seconds, sample_rate_hz=ds.sample_rate_hz,
-                  channels=ds.n_channels)
-    return kind, cfg, tcfg
+def _model_config(spec: Spec, ds) -> ModelConfig:
+    """The spec's model config with the input shape of the dataset."""
+    return replace(spec.model, input_seconds=ds.input_seconds,
+                   sample_rate_hz=ds.sample_rate_hz, channels=ds.n_channels)
 
 
-def _propagation(spec: dict, ds, cfg: ModelConfig):
-    return propagation_matrix(build_adjacency(ds.stations, float(spec["graph_k"])),
+def _propagation(spec: Spec, ds, cfg: ModelConfig):
+    return propagation_matrix(build_adjacency(ds.stations, float(spec.graph_k)),
                               cfg.propagation)
 
 
@@ -306,15 +246,9 @@ def _write_curves(path: str, prov: dict, hist: TrainHistory) -> None:
 def cmd_synth(args) -> int:
     started = time.monotonic()
     spec = load_spec(args)
-    s = spec["synth"]
-    stations = random_stations(int(s["n_stations"]), int(s["station_seed"]))
-    ds = synth_dataset(stations, int(s["n_events"]), int(spec["seed"]),
-                       input_seconds=int(s["input_seconds"]),
-                       total_seconds=float(s["total_seconds"]),
-                       sample_rate_hz=int(s["sample_rate_hz"]),
-                       noise_amp=float(s["noise_amp"]),
-                       mag_range=tuple(s["mag_range"]),
-                       site_amp=float(s["site_amp"]))
+    recipe = asdict(spec.synth)
+    stations = random_stations(recipe.pop("n_stations"), recipe.pop("station_seed"))
+    ds = synth_dataset(stations, recipe.pop("n_events"), spec.seed, **recipe)
     path = args.out or dataset_path(spec)
     os.makedirs(path, exist_ok=True)
     save_dataset(path, ds)
@@ -328,7 +262,7 @@ def cmd_build_graph(args) -> int:
     started = time.monotonic()
     spec = load_spec(args)
     ds = _load_windowed_dataset(spec)
-    graph = build_adjacency(ds.stations, float(spec["graph_k"]))
+    graph = build_adjacency(ds.stations, float(spec.graph_k))
     edges, centrality, cutoff = graph_stats(graph)
     payload = graph_to_dict(graph)
     payload.update({
@@ -362,24 +296,24 @@ def cmd_train(args) -> int:
     spec = load_spec(args)
     prov = provenance(spec)
     ds = _load_windowed_dataset(spec)
-    kind, mcfg, tcfg = _configs(spec, ds)
+    mcfg = _model_config(spec, ds)
     prop = _propagation(spec, ds, mcfg)
     path = out_dir(args, "train")
 
-    if spec["protocol"] == "cv":
-        report, residuals = run_protocol(kind, ds, prop, mcfg, tcfg, int(spec["seed"]))
+    if spec.protocol == "cv":
+        report, residuals = run_protocol(spec.kind, ds, prop, mcfg, spec.train, spec.seed)
         _write_report_artifacts(path, prov, report, residuals)
     else:
-        model = Model(kind, replace(mcfg, init_seed=int(spec["seed"])), ds.n_nodes)
-        hist = train(model, ds, prop, tcfg, seed=int(spec["seed"]))
+        model = Model(spec.kind, replace(mcfg, init_seed=spec.seed), ds.n_nodes)
+        hist = train(model, ds, prop, spec.train, seed=spec.seed)
         y_true = np.asarray(ds.Y, dtype=np.float64)
         y_pred = predict_batched(model, prop, ds.X, ds.stations.coords(),
-                                 tcfg.batch_size)
+                                 spec.train.batch_size)
         write_json(os.path.join(path, "metrics.json"), {
             "provenance": prov,
-            "model_kind": kind,
+            "model_kind": spec.kind,
             "protocol": "single",
-            "seed": spec["seed"],
+            "seed": spec.seed,
             "param_count": model.param_count(),
             "epochs_run": len(hist.train_loss),
             "metrics": metrics_from_predictions(y_true, y_pred),
@@ -425,13 +359,13 @@ def _ablate(args, command: str, header: str, items, row) -> int:
     prov = provenance(spec)
     path = out_dir(args, command)
     ds = _load_windowed_dataset(spec)
-    kind, mcfg, tcfg = _configs(spec, ds)
-    graph = build_adjacency(ds.stations, float(spec["graph_k"]))
+    mcfg = _model_config(spec, ds)
+    graph = build_adjacency(ds.stations, float(spec.graph_k))
 
-    def run(kind=kind, ds=ds, graph=graph, **model_changes):
+    def run(kind=spec.kind, ds=ds, graph=graph, **model_changes):
         cfg = replace(mcfg, **model_changes)
         prop = propagation_matrix(graph, cfg.propagation)
-        return run_protocol(kind, ds, prop, cfg, tcfg, int(spec["seed"]))[0]
+        return run_protocol(kind, ds, prop, cfg, spec.train, spec.seed)[0]
 
     base = SimpleNamespace(spec=spec, prov=prov, ds=ds, run=run)
     rows = [row(item, base) for item in items(spec)]
@@ -454,7 +388,7 @@ def cmd_ablate_k(args) -> int:
         return f"{k!r},{cutoff!r},{edges},{centrality!r},{mse!r}"
 
     return _ablate(args, "ablate-k", "k,cutoff_km,edges,avg_degree_centrality,mse",
-                   lambda spec: [float(k) for k in spec["ablate"]["ks"]], row)
+                   lambda spec: [float(k) for k in spec.ablate.ks], row)
 
 
 def cmd_ablate_window(args) -> int:
@@ -464,8 +398,8 @@ def cmd_ablate_window(args) -> int:
         return f"{kind},{seconds},{report.param_count},{_mean_mse(report)!r}"
 
     return _ablate(args, "ablate-window", "model,window_seconds,param_count,mse",
-                   lambda spec: [(kind, int(s)) for kind in MODEL_KINDS
-                                 for s in spec["ablate"]["windows"]], row)
+                   lambda spec: [(kind, s) for kind in MODEL_KINDS
+                                 for s in spec.ablate.windows], row)
 
 
 def cmd_ablate_meta(args) -> int:
@@ -473,7 +407,7 @@ def cmd_ablate_meta(args) -> int:
         kind, meta = item
         mse = _mean_mse(base.run(kind, use_metadata=meta))
         return (f"{kind},{'on' if meta else 'off'},{mse!r},"
-                f"{base.spec['seed']},{base.prov['spec_sha256']}")
+                f"{base.spec.seed},{base.prov['spec_sha256']}")
 
     return _ablate(args, "ablate-meta", "model,metadata,mse,seed,spec_sha256",
                    lambda spec: [(kind, meta) for kind in MODEL_KINDS for meta in (True, False)],

@@ -30,7 +30,7 @@ from .errors import (
     TruncatedFileError,
 )
 from .geo import StationSet, load_stations_csv, save_stations_csv
-from .model import IM_NAMES
+from .model import IM_NAMES, check_fields
 
 SA_PERIODS_S = (0.3, 1.0, 3.0)
 SA_DAMPING = 0.05
@@ -470,14 +470,39 @@ def synth_event_waveforms(stations: StationSet, event: SynthEvent,
     return w
 
 
-def synth_dataset(stations: StationSet, n_events: int, seed: int,
-                  input_seconds: int = 10, total_seconds: float = 60.0,
-                  sample_rate_hz: int = 100,
-                  noise_amp: float = DEFAULT_NOISE_AMP,
-                  mag_range: tuple[float, float] = (3.0, 5.5),
-                  site_amp: float = 0.0) -> EventDataset:
+@dataclass(frozen=True)
+class SynthConfig:
+    """The ``synth`` spec section: a random station network and the
+    waveform recipe of synth_dataset."""
+
+    n_stations: int = 20
+    n_events: int = 400
+    station_seed: int = 7
+    input_seconds: int = 10
+    total_seconds: float = 60.0
+    sample_rate_hz: int = 100
+    noise_amp: float = DEFAULT_NOISE_AMP
+    mag_range: tuple[float, ...] = (3.0, 5.5)
+    site_amp: float = 0.0
+
+    def __post_init__(self):
+        check_fields(self, InputError, n_stations="[2, inf)", n_events="[1, inf)",
+                     station_seed="[0, inf)", input_seconds="[1, inf)",
+                     sample_rate_hz="[1, inf)", noise_amp="[0, inf)")
+        if not self.total_seconds > self.input_seconds:
+            raise InputError("SynthConfig.total_seconds must exceed input_seconds "
+                             "so labels stay partly hidden")
+        if not (len(self.mag_range) == 2 and self.mag_range[0] <= self.mag_range[1]):
+            raise InputError("SynthConfig.mag_range must be two ordered magnitudes, "
+                             f"got {self.mag_range}")
+
+
+def synth_dataset(stations: StationSet, n_events: int, seed: int, **synth) -> EventDataset:
     """Generate a reproducible synthetic dataset.
 
+    ``synth`` takes the waveform fields of SynthConfig (``input_seconds``,
+    ``total_seconds``, ``sample_rate_hz``, ``noise_amp``, ``mag_range`` and
+    ``site_amp``), which supplies their defaults and checks them.
     X holds the normalized first ``input_seconds`` of each event; Y holds
     log10 intensity measures computed on the entire ``total_seconds``
     waveform, so targets depend on signal the model never sees.  Events are
@@ -490,15 +515,7 @@ def synth_dataset(stations: StationSet, n_events: int, seed: int,
     as the dominant driver of the targets; a nonzero ``site_amp`` adds a
     position-linear per-station amplification on top.
     """
-    if n_events < 1:
-        raise InputError(f"n_events must be >= 1, got {n_events}")
-    if sample_rate_hz < 1:
-        raise InputError(f"sample_rate_hz must be >= 1, got {sample_rate_hz}")
-    if total_seconds <= input_seconds:
-        raise InputError("total_seconds must exceed input_seconds so labels stay partly hidden")
-    if not mag_range[0] <= mag_range[1]:
-        raise InputError(f"mag_range must be ordered, got {mag_range}")
-
+    cfg = SynthConfig(n_stations=len(stations), n_events=n_events, **synth)
     rng = np.random.default_rng(seed)
     coords = stations.coords()
     lat_lo, lat_hi = coords[:, 0].min(), coords[:, 0].max()
@@ -514,15 +531,15 @@ def synth_dataset(stations: StationSet, n_events: int, seed: int,
         lat = rng.uniform(lat_lo - margin_lat, lat_hi + margin_lat)
         lon = rng.uniform(lon_lo - margin_lon, lon_hi + margin_lon)
         depth = rng.uniform(2.0, 15.0)
-        mag = rng.uniform(*mag_range)
+        mag = rng.uniform(*cfg.mag_range)
         t0 = rng.uniform(0.0, 1.0)
         events.append(SynthEvent((lat, lon), depth, mag, t0,
                                  int(rng.integers(0, 2**62))))
 
     n = len(stations)
-    window = input_seconds * sample_rate_hz
-    t_len = int(round(total_seconds * sample_rate_hz))
-    dt = 1.0 / sample_rate_hz
+    window = cfg.input_seconds * cfg.sample_rate_hz
+    t_len = int(round(cfg.total_seconds * cfg.sample_rate_hz))
+    dt = 1.0 / cfg.sample_rate_hz
     X = np.empty((n_events, n, window, 3), dtype=np.float32)
     Y = np.empty((n_events, len(IM_NAMES), n), dtype=np.float32)
 
@@ -540,8 +557,9 @@ def synth_dataset(stations: StationSet, n_events: int, seed: int,
         wave, buffers = slots.pop()  # pop and append are atomic under the GIL
         try:
             for e in range(lo, hi):
-                synth_event_waveforms(stations, events[e], total_seconds, sample_rate_hz,
-                                      noise_amp, site_amp, out=wave[e - lo])
+                synth_event_waveforms(stations, events[e], cfg.total_seconds,
+                                      cfg.sample_rate_hz, cfg.noise_amp, cfg.site_amp,
+                                      out=wave[e - lo])
                 X[e], _ = normalize_by_input_max(wave[e - lo, :, :window, :])
             ims = compute_ims_batch(wave[:hi - lo], dt, buffers=buffers)  # (hi - lo, N, 5)
             Y[lo:hi] = np.log10(ims + LOG_EPS).transpose(0, 2, 1)
@@ -549,7 +567,7 @@ def synth_dataset(stations: StationSet, n_events: int, seed: int,
             slots.append((wave, buffers))
 
     pool.run(task, n_events, chunk)
-    ds = EventDataset(stations=stations, X=X, Y=Y, sample_rate_hz=sample_rate_hz)
+    ds = EventDataset(stations=stations, X=X, Y=Y, sample_rate_hz=cfg.sample_rate_hz)
     ds.validate()
     return ds
 

@@ -12,17 +12,21 @@ emitting one value per station.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import json
+import math
 import struct
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import CheckpointFormatError, ConstructionError, ShapeError
 from .geo import PropagationMatrix
-from .layers import Conv1DLayer, DenseLayer, GCNLayer, append_metadata, node_feature_reshape
+from .layers import (ACTIVATIONS, Conv1DLayer, DenseLayer, GCNLayer, append_metadata,
+                     node_feature_reshape)
 
 IM_NAMES = ("pga", "pgv", "sa03", "sa1", "sa3")
 MODEL_KINDS = ("tiser", "cnn")
@@ -31,6 +35,64 @@ _DTYPES = {"f32": np.float32, "f64": np.float64}
 
 CHECKPOINT_MAGIC = b"TSRG"
 CHECKPOINT_VERSION = 1
+
+
+def _fits(value, hint) -> bool:
+    """Whether ``value`` is acceptable for a config field annotated ``hint``."""
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    return isinstance(value, hint)
+
+
+def _within(value, interval: str) -> bool:
+    """Whether ``value`` lies in an interval written like ``"[0, 1)"``."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    return ((lo < value) if interval[0] == "(" else (lo <= value)) and \
+        ((value < hi) if interval[-1] == ")" else (value <= hi))
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def check_fields(cfg, error: type[Exception], **limits) -> None:
+    """Type- and range-check a frozen config dataclass from its
+    ``__post_init__``: the one validator of every spec section.
+
+    Each field must fit its annotation: an int passes for a float, a float
+    must be finite, only a bool passes for a bool, and a list or tuple of
+    fitting items passes for a ``tuple[...]`` field, which then holds a
+    tuple.  ``limits`` maps a field to an interval such as ``"[1, inf)"``
+    or to a collection of allowed values; each item of a tuple field must
+    meet it, and None meets any.  A failure raises ``error``.
+    """
+    where = type(cfg).__name__
+    for name, hint in _field_types(type(cfg)).items():
+        value = getattr(cfg, name)
+        if not _fits(value, hint):
+            want = hint.__name__ if isinstance(hint, type) else hint
+            raise error(f"{where}.{name} must be {want}, got {value!r}")
+        if isinstance(value, list):
+            value = tuple(value)
+            object.__setattr__(cfg, name, value)
+        limit = limits.get(name)
+        if limit is None or value is None:
+            continue
+        items, what = (value, f"{name} items") if isinstance(value, tuple) else ((value,), name)
+        if isinstance(limit, str):
+            ok, want = all(_within(v, limit) for v in items), f"in {limit}"
+        else:
+            ok, want = all(v in limit for v in items), f"one of {list(limit)}"
+        if not ok:
+            raise error(f"{where}.{what} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,31 +118,35 @@ class ModelConfig:
     dtype: str = "f32"
     init_seed: int = 0
 
+    def __post_init__(self):
+        positive = "[1, inf)"
+        check_fields(self, ConstructionError, input_seconds=positive, sample_rate_hz=positive,
+                     channels=positive, conv_filters=positive, conv_kernels=positive,
+                     conv_strides=positive, conv_activation=ACTIVATIONS, gcn_filters=positive,
+                     gcn_activations=ACTIVATIONS, dense_width=positive,
+                     propagation=("renormalized", "laplacian"), dtype=_DTYPES,
+                     init_seed="[0, inf)")
+        if not 0 < len(self.conv_filters) == len(self.conv_kernels) == len(self.conv_strides):
+            raise ConstructionError("conv spec tuples must be non-empty and of equal length")
+        if len(self.gcn_filters) != len(self.gcn_activations):
+            raise ConstructionError("gcn spec tuples must have equal length")
+
     @property
     def input_length(self) -> int:
         return self.input_seconds * self.sample_rate_hz
 
     @property
     def np_dtype(self):
-        try:
-            return _DTYPES[self.dtype]
-        except KeyError:
-            raise ConstructionError(f"unknown dtype {self.dtype!r}") from None
+        return _DTYPES[self.dtype]
 
     def conv_chain(self) -> list[int]:
         """Sequence lengths [T, T1, T2, ...] through the conv stack."""
-        if not (len(self.conv_filters) == len(self.conv_kernels) == len(self.conv_strides)):
-            raise ConstructionError("conv spec tuples must have equal length")
         lengths = [self.input_length]
-        t = self.input_length
         for i, (k, s) in enumerate(zip(self.conv_kernels, self.conv_strides)):
-            if k > t or s < 1:
+            if k > lengths[-1]:
                 raise ConstructionError(
-                    f"conv{i + 1}: kernel {k} / stride {s} impossible on length {t}")
-            t = (t - k) // s + 1
-            if t < 1:
-                raise ConstructionError(f"conv{i + 1}: output length {t} < 1")
-            lengths.append(t)
+                    f"conv{i + 1}: kernel {k} is longer than its input of {lengths[-1]}")
+            lengths.append((lengths[-1] - k) // s + 1)
         return lengths
 
     def flat_feature_width(self) -> int:
@@ -89,17 +155,6 @@ class ModelConfig:
 
     def node_feature_width(self) -> int:
         return self.flat_feature_width() + (2 if self.use_metadata else 0)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        for key in ("conv_filters", "conv_kernels", "conv_strides", "gcn_filters", "gcn_activations"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
 
 
 class Model:
@@ -128,8 +183,6 @@ class Model:
 
         width = cfg.node_feature_width()
         if kind == "tiser":
-            if len(cfg.gcn_filters) != len(cfg.gcn_activations):
-                raise ConstructionError("gcn spec tuples must have equal length")
             self.gcns: list[GCNLayer] = []
             f_in = width
             for i, (f, act) in enumerate(zip(cfg.gcn_filters, cfg.gcn_activations)):
@@ -243,7 +296,7 @@ def save_checkpoint(model: Model, path) -> None:
     meta = {
         "kind": model.kind,
         "n_nodes": model.n_nodes,
-        "cfg": model.cfg.to_dict(),
+        "cfg": asdict(model.cfg),
         "params": [{"name": p.name, "shape": list(p.shape)} for p in params],
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -289,11 +342,7 @@ def load_checkpoint(path) -> Model:
     off += blob_len
 
     try:
-        cfg = ModelConfig.from_dict(meta["cfg"])
-    except (KeyError, TypeError) as exc:
-        raise CheckpointFormatError(f"stored model config does not fit ModelConfig: {exc}") from None
-    try:
-        model = Model(meta["kind"], cfg, meta["n_nodes"])
+        model = Model(meta["kind"], ModelConfig(**meta["cfg"]), meta["n_nodes"])
         entries = meta["params"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(
@@ -318,7 +367,7 @@ def load_checkpoint(path) -> Model:
             raise CheckpointFormatError(f"parameter record mismatch for {entry['name']!r}")
         if name not in registry or registry[name].shape != tuple(shape):
             raise CheckpointFormatError(f"parameter {name!r} does not fit the rebuilt model")
-        registry[name].data = values.astype(cfg.np_dtype)
+        registry[name].data = values.astype(model.cfg.np_dtype)
     if off != len(raw):
         raise CheckpointFormatError(f"{len(raw) - off} trailing bytes after offset {off}")
     return model

@@ -11,14 +11,14 @@ per intensity measure over all (event, station) cells.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .data import EventDataset
 from .errors import InputError, TrainingDivergedError
 from .geo import PropagationMatrix
-from .model import IM_NAMES, MODEL_KINDS, Model, ModelConfig
+from .model import IM_NAMES, MODEL_KINDS, Model, ModelConfig, check_fields
 from . import autodiff as ad
 
 METRIC_NAMES = ("mae", "mse", "rmse")
@@ -39,19 +39,10 @@ class TrainConfig:
     stop_below_train_loss: float | None = None
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise InputError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if self.max_epochs < 1 or self.folds < 2 or self.repeats < 1:
-            raise InputError("max_epochs >= 1, folds >= 2 and repeats >= 1 required")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+        check_fields(self, InputError, batch_size="[1, inf)", max_epochs="[1, inf)",
+                     patience="[0, inf)", lr="[0, inf)", rho="[0, 1)", eps="(0, inf)",
+                     l2="[0, inf)", folds="[2, inf)", repeats="[1, inf)",
+                     test_fraction="(0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +324,8 @@ def run_protocol(kind: str, ds: EventDataset, prop: PropagationMatrix,
                              "y_true": y_true, "y_pred": y_pred}
     report = RunReport(
         model_kind=kind,
-        model_config=model_cfg.to_dict(),
-        train_config=cfg.to_dict(),
+        model_config=asdict(model_cfg),
+        train_config=asdict(cfg),
         seed=seed,
         n_events=ds.n_events,
         param_count=model.param_count(),

@@ -5,11 +5,12 @@ error contract."""
 import json
 import os
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tisergcn.cli import main
+from tisergcn.cli import load_spec, main, provenance
 from tisergcn.data import EventDataset, load_dataset, save_dataset
 
 
@@ -91,6 +92,27 @@ class TestSynth:
         monkeypatch.setenv("TISER_DATA_DIR", str(tmp_path))
         run_ok(["synth", "--spec", spec_path])
         assert (tmp_path / "dataset" / "manifest.json").exists()
+
+
+README_SPEC = {
+    "synth": {"n_stations": 10, "n_events": 60},
+    "model": {"conv_filters": [8, 16], "conv_kernels": [32, 32], "conv_strides": [4, 4]},
+    "train": {"max_epochs": 10, "folds": 2, "repeats": 1},
+}
+
+
+@pytest.mark.parametrize("user,spec_sha256,data_hash", [
+    (TINY_SPEC, "37864eca98ed", "f6525a04c1a0"),
+    (README_SPEC, "95676df14487", "a0318d8df6f4"),
+    ({}, "18c29229913d", "68b86a1f7903"),
+    # the merged spec is hashed as written: lr stays 1, not 1.0
+    ({"train": {"lr": 1}}, "c115251ee595", "68b86a1f7903"),
+], ids=["tiny", "readme", "defaults", "int-lr"])
+def test_provenance_hashes_are_pinned(tmp_path, user, spec_sha256, data_hash):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(user))
+    prov = provenance(load_spec(SimpleNamespace(spec=str(path))))
+    assert (prov["spec_sha256"], prov["data_hash"]) == (spec_sha256, data_hash)
 
 
 class TestBuildGraph:
@@ -356,6 +378,19 @@ class TestErrorContract:
         {"synth": {"mag_range": [5.0, 4.0]}},
         {"synth": {"noise_amp": -1.0}},
         {"synth": {"site_amp": True}},
+        {"model": {"dense_width": 0}},
+        {"model": {"dense_width": -1}},
+        {"model": {"conv_filters": [0, 3]}},
+        {"model": {"conv_kernels": [0, 8]}},
+        {"train": {"lr": -1}},
+        {"train": {"patience": -1}},
+        {"train": {"l2": -1}},
+        {"train": {"rho": 2.0}},
+        {"train": {"eps": -1}},
+        {"ablate": {"ks": "ab"}},
+        {"ablate": {"ks": 5}},
+        {"ablate": {"ks": [2.0]}},
+        {"ablate": {"windows": ["5"]}},
     ])
     def test_bad_spec_rejected_before_io(self, tmp_path, capsys, user):
         # the dataset directory does not exist: reading it would be a

@@ -2,6 +2,7 @@
 shapes, and the checkpoint container format."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -68,8 +69,9 @@ class TestConfig:
             _ = ModelConfig(dtype="f16").np_dtype
 
     def test_round_trip_dict(self):
+        # through JSON, as a checkpoint stores it: lists come back as tuples
         cfg = ModelConfig(conv_filters=(8, 16), dense_width=32, dtype="f32")
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 class TestAssembly:
@@ -163,7 +165,7 @@ class TestForward:
         x = rng.standard_normal((2, 5, 400, 3))
         z = line_stations(5).coords()
         on = build_tiser_gcn(small_cfg, 5).forward(prop5, x, z).data
-        off_cfg = ModelConfig(**{**small_cfg.to_dict(), "use_metadata": False})
+        off_cfg = ModelConfig(**{**asdict(small_cfg), "use_metadata": False})
         off = build_tiser_gcn(off_cfg, 5).forward(prop5, x, z).data
         assert not np.allclose(on, off)
 
@@ -242,8 +244,15 @@ class TestCheckpoint:
         lambda meta: meta.update(n_nodes=0),
         lambda meta: meta.update(n_nodes=True),
         lambda meta: meta["cfg"].update(conv_kernels="ab"),
+        lambda meta: meta["cfg"].update(conv_kernels=[0, 3]),
+        lambda meta: meta["cfg"].update(dense_width=0),
+        lambda meta: meta["cfg"].update(gcn_filters=[0, 4]),
+        lambda meta: meta["cfg"].update(conv_filters=["4", 8]),
+        lambda meta: meta["cfg"].update(dtype="f16"),
+        lambda meta: meta.update(cfg=[]),
     ], ids=["no-kind", "no-params", "n_nodes-abc", "n_nodes-negative", "n_nodes-zero",
-            "n_nodes-bool", "conv_kernels-str"])
+            "n_nodes-bool", "conv_kernels-str", "conv_kernels-zero", "dense_width-zero",
+            "gcn_filters-zero", "conv_filters-str", "dtype-f16", "cfg-list"])
     def test_bad_metadata_is_a_format_error(self, small_cfg, tmp_path, edit):
         path = tmp_path / "model.tsrg"
         save_checkpoint(build_tiser_gcn(small_cfg, 3), path)

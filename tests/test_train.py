@@ -2,6 +2,7 @@
 determinism and early stopping, and the repeated-CV evaluation protocol."""
 
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -343,4 +344,4 @@ class TestTrainConfig:
 
     def test_round_trip(self):
         cfg = TrainConfig(batch_size=7, l2=0.5)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainConfig(**asdict(cfg)) == cfg
