@@ -33,7 +33,8 @@ class _Plan:
     two frequency-major spectra fit autodiff._CHUNK_BYTES.  Threads move up
     to _ROWS sequences at a time between time-major (r, ., C) and
     frequency-major (W, r, C) layouts, in float64, through scratch of their
-    own that holds each sequence's lines contiguous.
+    own sized to the widest stage a call runs (C lines at length L or F at
+    M), each stage taking a contiguous (r, lines, n) view of it.
     """
 
     def __init__(self, n: int, T: int, C: int, F: int, stride: int):
@@ -41,7 +42,8 @@ class _Plan:
         self.L = stride * self.M
         self.W = self.L // 2 + 1
         self.m = ad._chunk_rows(n, 16 * self.W * (C + F))
-        self.lines = max(C, F)
+        self.samples = max(C * self.L, F * self.M)                # per sequence
+        self.bins = max(C * self.W, F * (self.M // 2 + 1))
         from .pool import get_pool
         self.pool = get_pool()
         self._local = threading.local()
@@ -55,9 +57,9 @@ class _Plan:
         return buf
 
     def _lines(self, r: int, C: int, n: int):
-        t = self.scratch("t", (_ROWS, self.lines, self.L))
-        s = self.scratch("s", (_ROWS, self.lines, self.W), np.complex128)
-        return t[:r, :C, :n], s[:r, :C, :n // 2 + 1].transpose(2, 0, 1)
+        t = self.scratch("t", _ROWS * self.samples)[:r * C * n]
+        s = self.scratch("s", _ROWS * self.bins, np.complex128)[:r * C * (n // 2 + 1)]
+        return t.reshape(r, C, n), s.reshape(r, C, -1).transpose(2, 0, 1)
 
     def to_spectra(self, seqs, n, spectra) -> None:
         """seqs (r, ., C), placed L/n samples apart, into spectra (W, r, C):

@@ -150,7 +150,9 @@ def train(model: Model, ds: EventDataset, prop: PropagationMatrix, cfg: TrainCon
           train_idx=None, val_idx=None, seed: int = 0) -> TrainHistory:
     """Mini-batch RMSprop on MSE + L2, early stopping on validation MSE.
 
-    Shuffle order is a pure function of (seed, epoch).  With a validation
+    Shuffle order is a pure function of (seed, epoch), and each batch is
+    gathered from ``ds`` by index: no copy of the training split is made,
+    and the model casts each batch to its dtype.  With a validation
     set, training stops after `patience` epochs without improvement and
     the best-validation weights are restored; without one it runs to
     max_epochs.  Either way it also stops once train loss drops below
@@ -158,10 +160,7 @@ def train(model: Model, ds: EventDataset, prop: PropagationMatrix, cfg: TrainCon
     Reported losses are data MSE only; the L2 term steers updates but is
     excluded from curves so they stay comparable across penalty settings.
     """
-    dtype = model.cfg.np_dtype
     train_idx = np.arange(ds.n_events) if train_idx is None else np.asarray(train_idx)
-    X = np.asarray(ds.X, dtype=dtype)[train_idx]
-    Y = np.asarray(ds.Y, dtype=dtype)[train_idx]
     z = ds.stations.coords()
     params = model.params()
     l2_params = model.l2_params()
@@ -175,9 +174,9 @@ def train(model: Model, ds: EventDataset, prop: PropagationMatrix, cfg: TrainCon
         order = np.random.default_rng((seed, epoch)).permutation(train_idx.size)
         total_se = 0.0
         for lo in range(0, order.size, cfg.batch_size):
-            sel = order[lo:lo + cfg.batch_size]
-            pred = model.forward(prop, X[sel], z)
-            data_loss = ad.mse_loss(pred, Y[sel])
+            sel = train_idx[order[lo:lo + cfg.batch_size]]
+            pred = model.forward(prop, ds.X[sel], z)
+            data_loss = ad.mse_loss(pred, ds.Y[sel])
             loss = data_loss
             if cfg.l2 > 0.0 and l2_params:
                 loss = ad.add(loss, ad.l2_penalty(l2_params, cfg.l2))

@@ -379,6 +379,26 @@ class TestFFTConv:
             assert a.dtype == np.float32
             assert np.array_equal(a, b.astype(np.float32))
 
+    def test_scratch_fits_the_widest_stage(self, rng, monkeypatch, fft_path):
+        # C < F at stride 2: the gradient's F lines at M = L/2 are the widest
+        # stage, narrower than max(C, F) lines at L
+        made = {}
+        scratch = fftconv._Plan.scratch
+
+        def spy(plan, name, shape, dtype=np.float64):
+            buf = scratch(plan, name, shape, dtype)
+            made[name] = buf.nbytes
+            return buf
+
+        monkeypatch.setattr(fftconv._Plan, "scratch", spy)
+        C, F, T, K = 2, 6, 40, 5
+        x, w = rng.standard_normal((3, T, C)), rng.standard_normal((K, C, F))
+        conv_and_grads(x, w, 2, rng.standard_normal((3, (T - K) // 2 + 1, F)))
+        plan = fftconv._Plan(3, T, C, F, 2)
+        assert made["t"] == fftconv._ROWS * max(C * plan.L, F * plan.M) * 8
+        assert made["s"] == fftconv._ROWS * max(C * plan.W, F * (plan.M // 2 + 1)) * 16
+        assert made["t"] < fftconv._ROWS * max(C, F) * plan.L * 8
+
     @pytest.mark.parametrize("n,want", [(1, 1), (2, 2), (7, 8), (11, 12), (13, 15), (17, 18),
                                         (438, 450), (1000, 1000)])
     def test_fft_length_is_smallest_5_smooth(self, n, want):

@@ -1,6 +1,7 @@
 """Optimizer arithmetic, split protocol laws, the training loop's
 determinism and early stopping, and the repeated-CV evaluation protocol."""
 
+import tracemalloc
 import weakref
 from dataclasses import asdict
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import tisergcn.autodiff as ad
-from tisergcn.data import synth_dataset, random_stations
+from tisergcn.data import EventDataset, random_stations, synth_dataset
 from tisergcn.errors import InputError, TrainingDivergedError
 from tisergcn.geo import build_adjacency, propagation_matrix
 from tisergcn.model import ModelConfig, build_tiser_gcn
@@ -211,6 +212,25 @@ class TestTrainLoop:
         train(model, ds, prop, TrainConfig(batch_size=6, max_epochs=1, repeats=1),
               train_idx=np.arange(12), val_idx=None, seed=0)
         assert alive_at_forward == [[], [False, False]]
+
+    def test_batches_are_gathered_without_copying_the_split(self, tiny_setup):
+        # X dwarfs the model, and the split holds 90% of it: one epoch's
+        # traced peak stays far below a copy of the split
+        small, prop = tiny_setup
+        rng = np.random.default_rng(0)
+        ds = EventDataset(small.stations,
+                          rng.standard_normal((200,) + small.X.shape[1:], dtype=np.float32),
+                          rng.standard_normal((200,) + small.Y.shape[1:], dtype=np.float32),
+                          small.sample_rate_hz)
+        model = build_tiser_gcn(tiny_model_cfg(), 3)
+        tracemalloc.start()
+        try:
+            train(model, ds, prop, TrainConfig(batch_size=4, max_epochs=1, repeats=1),
+                  train_idx=np.arange(180), val_idx=None, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.X.nbytes / 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self, tiny_setup):
