@@ -166,15 +166,13 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    k, n = b.data.shape
+    out = (a.data.reshape(-1, k) @ b.data).reshape(*a.data.shape[:-1], n)  # one GEMM
 
     def backward(g):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = None
-        if b.requires_grad:
-            k = a.data.shape[-1]
-            n = g.shape[-1]
-            gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+        g2 = g.reshape(-1, n)
+        ga = (g2 @ b.data.T).reshape(a.data.shape) if a.requires_grad else None
+        gb = a.data.reshape(-1, k).T @ g2 if b.requires_grad else None
         return ga, gb
 
     return _fused(out, (a, b), backward, bias, activation)

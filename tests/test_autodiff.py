@@ -79,6 +79,23 @@ class TestValuesAgainstOracles:
         assert got.shape == (3, 4, 5, 2)
         assert np.max(np.abs(got - matmul_oracle(a, b))) <= 1e-12
 
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+    def test_matmul_fold_matches_per_item_loop_in_float32(self, rng, lead):
+        # the leading axes go through one GEMM: values and both gradients
+        # agree with one product per leading index to f32 rounding
+        a = rng.standard_normal((*lead, 20, 300)).astype(np.float32)
+        b = rng.standard_normal((300, 16)).astype(np.float32)
+        g = rng.standard_normal((*lead, 20, 16)).astype(np.float32)
+        y = ad.matmul(ad.parameter(a), ad.parameter(b))
+        ga, gb, _ = y._backward(g)
+        a3, g3 = a.reshape(-1, 20, 300), g.reshape(-1, 20, 16)
+        want = (np.stack([x @ b for x in a3]).reshape(y.shape),
+                np.stack([gi @ b.T for gi in g3]).reshape(a.shape),
+                sum(x.T @ gi for x, gi in zip(a3, g3)))
+        for got, ref in zip((y.data, ga, gb), want):
+            assert got.dtype == np.float32 and got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+
     def test_conv1d_matches_nested_loops(self, rng):
         for stride in (1, 2, 3):
             for _ in range(3):
