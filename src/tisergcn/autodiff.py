@@ -27,9 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GraphReleasedError, ShapeError
 
-# Cap on the bytes of one conv1d window matrix.  On the default model (f32,
-# K=125, 2.5 MB of windows per conv2 sequence) a 4 MB cap trained 40% slower
-# than 8 MB, and 32 MB was no faster but raised peak memory by 20%.
+# Cap on the bytes of one conv1d window matrix (measured: CHANGES.md, chunked im2col).
 _CHUNK_BYTES = 8 << 20
 
 # Outputs per window row of conv1d's blocked unfold (see _blocks).  A row of
@@ -41,20 +39,7 @@ _CHUNK_BYTES = 8 << 20
 # layers are capped at 8 by ceil(K/stride).
 _BLOCK = 8
 
-# Shape-only cost model that picks conv1d's path (see _fft_cheaper), in units
-# of one float32 direct multiply-add: a complex float64 product costs 3 per
-# real multiply-add and a length-n transform of one line 30 n log2 n.  Fitted
-# to forward plus backward times of both paths on the default model's conv
-# layers, FFT work on one thread (2-core host, OpenBLAS, 400 sequences), when
-# the unfold path was the per-window im2col: conv2 0.87 s im2col against
-# 0.53 s FFT, conv1 0.13 s against 0.23 s.  Extra threads speed up only the
-# FFT path (conv2 0.32 s on two), so the choice errs towards the unfold on
-# hosts with more cores.  With the stride fold and the blocked unfold (same
-# host, 400 sequences, median of 5, two pool threads, two alternations):
-# conv1 forward plus kernel gradient 0.111 / 0.106 s blocked against
-# 0.238 / 0.205 s FFT; conv2 forward plus both gradients 0.830 / 0.875 s
-# blocked against 0.485 / 0.410 s FFT.  Both choices hold with margin, so the
-# constants stay as they are.
+# Weights of _fft_cheaper's cost model (fitted: CHANGES.md, FFT path and blocked unfold).
 _FFT_MAC_COST = 3.0
 _FFT_LINE_COST = 30.0
 
@@ -307,7 +292,11 @@ def _fft_cheaper(T: int, K: int, C: int, F: int, stride: int) -> bool:
     multiply-adds (the block matrix's zeros are not counted).  The FFT path
     transforms C input lines of length L = stride * M and F output (or
     gradient) lines of length M, and multiplies W = L/2 + 1 complex (C, F)
-    matrices, 4 W C F real multiply-adds.
+    matrices, 4 W C F real multiply-adds.  In units of one direct float32
+    multiply-add, a length-n transform of one line costs _FFT_LINE_COST
+    n log2 n and a complex float64 multiply-add _FFT_MAC_COST per real one.
+    They were fitted with the FFT work on one thread, and only that path
+    gains from more, so the choice errs towards the unfold on larger hosts.
     """
     M = _fft_length(-(-T // stride))
     L = stride * M

@@ -36,20 +36,11 @@ SA_PERIODS_S = (0.3, 1.0, 3.0)
 SA_DAMPING = 0.05
 LOG_EPS = 1e-12
 
-# Byte budget for the f64 waveforms that synth_dataset and compute_ims_batch
-# hold at once (at least one event or waveform), and for each of the two
-# working buffers of the Newmark kernel.  On 2 cores with 2 MB of L2 each,
-# labels took the same time at 1-4 MB once warm and 50% longer at 8 MB; in
-# a fresh process 3-4 MB buffers were mapped anew on every call (6,000 page
-# faults per 20-station event) where 1 MB ones were reused.
+# Bytes of f64 waveforms held at once and of each Newmark buffer (CHANGES.md, Newmark).
 _CHUNK_BYTES = 1 << 20
 # Steps per block of the blocked Newmark recursion.
 _NEWMARK_BLOCK = 32
-# Multiply-adds per GEMM call in the Newmark kernel: OpenBLAS runs a call of
-# at most 2^18 on the calling thread (its GEMM_MULTITHREAD_THRESHOLD rule).
-# On 2 cores, with larger calls each of the two synth threads woke the
-# 2-thread BLAS, and a 60-event 10-station synth took 1.09-1.34 s against
-# 0.92-1.12 s on one thread; with the slices it takes 0.69-0.86 s.
+# Multiply-adds per Newmark GEMM, run by OpenBLAS on the caller (CHANGES.md, parallel synth).
 _GEMM_MACS = 1 << 18
 
 # synthetic source model

@@ -42,7 +42,7 @@ class _Plan:
         self.L = stride * self.M
         self.W = self.L // 2 + 1
         self.m = ad._chunk_rows(n, 16 * self.W * (C + F))
-        self.samples = max(C * self.L, F * self.M)                # per sequence
+        self.samples = max(C * self.L, F * self.M)  # per sequence, widest stage
         self.bins = max(C * self.W, F * (self.M // 2 + 1))
         from .pool import get_pool
         self.pool = get_pool()

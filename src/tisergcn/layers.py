@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ShapeError
+from .errors import ConstructionError, ShapeError
 
 ACTIVATIONS = {
     "relu": ad.relu,
@@ -28,8 +28,13 @@ def _activation(name: str):
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype) -> np.ndarray:
+    """Each layer's first and largest allocation, so a valid config too large
+    to allocate ends here as a ConstructionError."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    try:
+        return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    except MemoryError as exc:
+        raise ConstructionError(f"weights of shape {shape} do not fit in memory: {exc}") from None
 
 
 class Conv1DLayer:

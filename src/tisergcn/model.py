@@ -322,6 +322,13 @@ def _unpack(fmt: str, raw: bytes, off: int) -> tuple:
     return struct.unpack_from(fmt, raw, off)
 
 
+def _is_param_entry(entry) -> bool:
+    """Whether a meta ``params`` item is {name: str, shape: [int >= 0]}."""
+    return isinstance(entry, dict) and isinstance(entry.get("name"), str) \
+        and isinstance(entry.get("shape"), list) \
+        and all(type(d) is int and d >= 0 for d in entry["shape"])
+
+
 def load_checkpoint(path) -> Model:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -347,7 +354,12 @@ def load_checkpoint(path) -> Model:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(
             f"metadata does not build a model: {type(exc).__name__}: {exc}") from None
+    if not (isinstance(entries, list) and all(map(_is_param_entry, entries))):
+        raise CheckpointFormatError(
+            "metadata params must be a list of {name: str, shape: [int >= 0]}")
     registry = model.named_params()
+    # each record's header is checked against its entry and the rebuilt model,
+    # which bounds its ndim and byte count, before its payload is read
     for entry in entries:
         name_len, = _unpack("<I", raw, off)
         off += 4
@@ -355,18 +367,18 @@ def load_checkpoint(path) -> Model:
         off += name_len
         ndim, = _unpack("<I", raw, off)
         off += 4
-        shape = _unpack(f"<{ndim}I", raw, off)
-        off += 4 * ndim
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        end = off + 8 * count
-        if end > len(raw):
-            raise CheckpointFormatError(f"truncated parameter payload at offset {off}")
-        values = np.frombuffer(raw[off:end], dtype="<f8").reshape(shape)
-        off = end
-        if name != entry["name"] or list(shape) != entry["shape"]:
+        if name != entry["name"] or ndim != len(entry["shape"]) \
+                or list(_unpack(f"<{ndim}I", raw, off)) != entry["shape"]:
             raise CheckpointFormatError(f"parameter record mismatch for {entry['name']!r}")
-        if name not in registry or registry[name].shape != tuple(shape):
+        off += 4 * ndim
+        shape = tuple(entry["shape"])
+        if name not in registry or registry[name].shape != shape:
             raise CheckpointFormatError(f"parameter {name!r} does not fit the rebuilt model")
+        count = math.prod(shape)
+        if 8 * count > len(raw) - off:
+            raise CheckpointFormatError(f"truncated parameter payload at offset {off}")
+        values = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
+        off += 8 * count
         registry[name].data = values.astype(model.cfg.np_dtype)
     if off != len(raw):
         raise CheckpointFormatError(f"{len(raw) - off} trailing bytes after offset {off}")

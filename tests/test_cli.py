@@ -423,6 +423,20 @@ class TestErrorContract:
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "InputError"
         assert not (tmp_path / "o").exists()
 
+    def test_model_too_large_to_allocate(self, workdir, tmp_path, capsys):
+        # a valid dense width that numpy refuses at once
+        _, _, data_dir = workdir
+        spec = {**TINY_SPEC, "model": {**TINY_SPEC["model"], "dense_width": 10**12}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["train", "--spec", str(path), "--dataset", data_dir,
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConstructionError" and "fit in memory" in err["message"]
+
     def test_spec_value_types_accepted(self, workdir, tmp_path):
         # an int where a float is declared, null for an optional float, and
         # JSON lists for tuple fields all load

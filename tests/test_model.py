@@ -2,6 +2,7 @@
 shapes, and the checkpoint container format."""
 
 import json
+import struct
 from dataclasses import asdict
 
 import numpy as np
@@ -250,9 +251,16 @@ class TestCheckpoint:
         lambda meta: meta["cfg"].update(conv_filters=["4", 8]),
         lambda meta: meta["cfg"].update(dtype="f16"),
         lambda meta: meta.update(cfg=[]),
+        lambda meta: meta["cfg"].update(dense_width=10**12),
+        lambda meta: meta.update(params={}),
+        lambda meta: meta["params"].__setitem__(0, "conv1.kernels"),
+        lambda meta: meta["params"][0]["shape"].__setitem__(0, -1),
+        lambda meta: meta["params"][0]["shape"].__setitem__(0, "25"),
     ], ids=["no-kind", "no-params", "n_nodes-abc", "n_nodes-negative", "n_nodes-zero",
             "n_nodes-bool", "conv_kernels-str", "conv_kernels-zero", "dense_width-zero",
-            "gcn_filters-zero", "conv_filters-str", "dtype-f16", "cfg-list"])
+            "gcn_filters-zero", "conv_filters-str", "dtype-f16", "cfg-list",
+            "dense_width-huge", "params-dict", "params-entry-str", "params-dim-negative",
+            "params-dim-str"])
     def test_bad_metadata_is_a_format_error(self, small_cfg, tmp_path, edit):
         path = tmp_path / "model.tsrg"
         save_checkpoint(build_tiser_gcn(small_cfg, 3), path)
@@ -264,6 +272,22 @@ class TestCheckpoint:
         path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob
                          + raw[12 + blob_len:])
         with pytest.raises(CheckpointFormatError, match="metadata"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [
+        struct.pack("<I", 3 | 1 << 31),
+        struct.pack("<I", 70),
+        struct.pack("<4I", 3, 2**21, 2**21, 2**22),
+    ], ids=["ndim-flipped-2^31", "ndim-past-numpy", "dims-overflow-int64"])
+    def test_bad_record_header_is_a_format_error(self, small_cfg, tmp_path, header):
+        # the first record's ndim, and its dims, rewritten in place
+        path = tmp_path / "model.tsrg"
+        save_checkpoint(build_tiser_gcn(small_cfg, 3), path)
+        raw = path.read_bytes()
+        rec = 12 + int.from_bytes(raw[8:12], "little")
+        at = rec + 4 + int.from_bytes(raw[rec:rec + 4], "little")
+        path.write_bytes(raw[:at] + header + raw[at + len(header):])
+        with pytest.raises(CheckpointFormatError, match="record"):
             load_checkpoint(path)
 
     def test_config_from_older_version(self, small_cfg, tmp_path):
