@@ -19,12 +19,10 @@ from .errors import (
 )
 from .geo import (
     EARTH_RADIUS_KM,
-    PropagationMatrix,
     SensorGraph,
     Station,
     StationSet,
     build_adjacency,
-    geodesic_km,
     graph_stats,
     load_stations_csv,
     normalized_laplacian,
@@ -38,7 +36,6 @@ from .model import (
     IM_NAMES,
     Model,
     ModelConfig,
-    build_cnn_baseline,
     build_tiser_gcn,
     load_checkpoint,
     save_checkpoint,
@@ -47,19 +44,16 @@ from .data import (
     EventDataset,
     SynthConfig,
     SynthEvent,
-    compute_ims,
     load_dataset,
     normalize_by_input_max,
     random_stations,
     save_dataset,
     synth_dataset,
     synth_event_waveforms,
-    truncate_window,
 )
 from .baselines import (
     FEATURE_NAMES,
     KNNChoice,
-    feature_vector,
     grid_search_cv,
     knn_fit_predict,
     knn_predict,

@@ -21,33 +21,11 @@ DEFAULT_KS = tuple(range(1, 21))
 WEIGHT_OPTIONS = ("uniform", "distance")
 
 
-def feature_vector(x: np.ndarray) -> np.ndarray:
-    """Nine summary statistics of one channel trace (population variance).
-
-    energy is the summed squared magnitude of the full DFT, power is
-    energy divided by the trace length.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise InputError(f"expected a non-empty vector, got shape {x.shape}")
-    energy = float(np.sum(np.abs(np.fft.fft(x)) ** 2))
-    lo, hi = float(x.min()), float(x.max())
-    return np.array([
-        float(x.mean()),
-        float(x.std()),
-        float(x.var()),
-        float(np.median(x)),
-        lo,
-        hi,
-        hi - lo,
-        energy,
-        energy / x.size,
-    ])
-
-
 def event_features(x_event: np.ndarray) -> np.ndarray:
-    """(..., N, T, C) windows -> (..., N * C * 9) feature vectors: ``feature_vector``
-    of every channel trace at once, with the energy as T * sum x^2 (Parseval)."""
+    """(..., N, T, C) windows -> (..., N * C * 9) feature vectors: the nine
+    FEATURE_NAMES statistics of every channel trace (population variance),
+    station-major then channel.  energy is the summed squared magnitude of
+    the trace's DFT, computed as T * sum x^2 (Parseval); power is energy / T."""
     x = np.array(np.swapaxes(x_event, -1, -2), dtype=np.float64, order="C")  # (..., N, C, T)
     energy = x.shape[-1] * np.sum(x * x, axis=-1)
     lo, hi = x.min(axis=-1), x.max(axis=-1)

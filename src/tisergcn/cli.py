@@ -34,8 +34,9 @@ from .geo import build_adjacency, graph_stats, graph_to_dict, propagation_matrix
 from .model import (IM_NAMES, MODEL_KINDS, Model, ModelConfig, check_fields, load_checkpoint,
                     save_checkpoint)
 from .train import (
+    METRIC_NAMES,
     TrainConfig,
-    TrainHistory,
+    _aggregate,
     metrics_from_predictions,
     predict_batched,
     run_protocol,
@@ -235,9 +236,13 @@ def _residual_rows(event_idx, y_true, y_pred):
 RESIDUAL_HEADER = "event,station,im,y_true_log10,y_pred_log10"
 
 
-def _write_curves(path: str, prov: dict, hist: TrainHistory) -> None:
-    rows = hist.curves_rows()
-    write_csv(path, prov, rows[0], rows[1:])
+def _write_curves(path: str, prov: dict, train_loss, val_loss) -> None:
+    """One row per epoch; an epoch without a validation loss reads nan."""
+    rows = []
+    for e, tl in enumerate(train_loss):
+        vl = val_loss[e] if e < len(val_loss) else float("nan")
+        rows.append(f"{e},{tl!r},{vl!r}")
+    write_csv(path, prov, "epoch,train_loss,val_loss", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +284,10 @@ def cmd_build_graph(args) -> int:
 
 
 def _write_report_artifacts(path: str, prov: dict, report, residuals: dict) -> None:
-    body = json.loads(report.to_json())
-    body["provenance"] = prov
-    write_json(os.path.join(path, "metrics.json"), body)
+    write_json(os.path.join(path, "metrics.json"), {**asdict(report), "provenance": prov})
     for run in report.runs:
         _write_curves(os.path.join(path, f"curves_r{run['repeat']}f{run['fold']}.csv"), prov,
-                      TrainHistory(run["curves"]["train_loss"], run["curves"]["val_loss"]))
+                      run["curves"]["train_loss"], run["curves"]["val_loss"])
     if residuals:
         write_csv(os.path.join(path, "residuals.csv"), prov, RESIDUAL_HEADER,
                   _residual_rows(residuals["event_idx"], residuals["y_true"],
@@ -318,7 +321,7 @@ def cmd_train(args) -> int:
             "epochs_run": len(hist.train_loss),
             "metrics": metrics_from_predictions(y_true, y_pred),
         })
-        _write_curves(os.path.join(path, "curves.csv"), prov, hist)
+        _write_curves(os.path.join(path, "curves.csv"), prov, hist.train_loss, hist.val_loss)
         write_csv(os.path.join(path, "residuals.csv"), prov, RESIDUAL_HEADER,
                   _residual_rows(np.arange(ds.n_events), y_true, y_pred))
         save_checkpoint(model, os.path.join(path, "checkpoint.tsrg"))
@@ -425,7 +428,7 @@ def _run_metrics(path, body: dict) -> list[dict]:
 
     def table(m):
         return isinstance(m, dict) and all(
-            isinstance(m.get(im), dict) and all(number(m[im].get(s)) for s in ("mae", "mse", "rmse"))
+            isinstance(m.get(im), dict) and all(number(m[im].get(s)) for s in METRIC_NAMES)
             for im in (*IM_NAMES, "overall"))
 
     if not (isinstance(runs, list) and runs
@@ -463,14 +466,10 @@ def cmd_report(args) -> int:
     table_rows = []
     md = ["# Run report", "", f"Runs aggregated: {len(pooled)}", "",
           "| im | mae | mse | rmse |", "| --- | --- | --- | --- |"]
-    for im in list(IM_NAMES) + ["overall"]:
-        cells = {}
-        for metric in ("mae", "mse", "rmse"):
-            vals = np.array([m[im][metric] for m in pooled])
-            cells[metric] = (float(vals.mean()), float(vals.std()))
-            table_rows.append(f"{im},{metric},{cells[metric][0]!r},{cells[metric][1]!r}")
-        md.append("| {} | {:.4f} ± {:.4f} | {:.4f} ± {:.4f} | {:.4f} ± {:.4f} |".format(
-            im, *cells["mae"], *cells["mse"], *cells["rmse"]))
+    for im, cells in _aggregate(pooled).items():
+        table_rows += [f"{im},{m},{c['mean']!r},{c['std']!r}" for m, c in cells.items()]
+        md.append(f"| {im} | " + " | ".join(f"{c['mean']:.4f} ± {c['std']:.4f}"
+                                           for c in cells.values()) + " |")
 
     path = out_dir(args, "report")
     write_csv(os.path.join(path, "metrics_table.csv"), prov,

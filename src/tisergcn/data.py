@@ -126,17 +126,9 @@ def _window_samples(seconds: int, sample_rate_hz: int, n_samples: int) -> int:
     return t2
 
 
-def truncate_window(x: np.ndarray, seconds: int, sample_rate_hz: int = 100) -> np.ndarray:
-    """Keep the first ``seconds`` of an event window and re-normalize.
-
-    x: (N, T, C).  seconds must lie in [4, 10] and fit inside x.
-    """
-    out, _ = normalize_by_input_max(x[:, :_window_samples(seconds, sample_rate_hz, x.shape[1])])
-    return out
-
-
 def truncate_dataset(ds: EventDataset, seconds: int) -> EventDataset:
-    """truncate_window on every event at once; targets are unchanged.
+    """Keep the first ``seconds`` of every event window and re-normalize it;
+    targets are unchanged.  ``seconds`` must lie in [4, 10] and fit the window.
 
     Each event's window is divided by its largest absolute amplitude in
     float64 and the quotient cast back to the dataset's dtype.
@@ -341,14 +333,6 @@ def compute_ims_batch(w: np.ndarray, dt: float, *, buffers=None) -> np.ndarray:
         out[:, col] = _newmark_peak_abs_accel(per_channel, dt, period,
                                               buffers=newmark).max(axis=-1)
     return out.reshape(lead + (len(IM_NAMES),))
-
-
-def compute_ims(w: np.ndarray, dt: float) -> tuple[float, float, float, float, float]:
-    """(pga, pgv, sa03, sa1, sa3) for one waveform (T, C)."""
-    w = np.asarray(w)
-    if w.ndim != 2:
-        raise InputError(f"expected (T, C), got {w.shape}")
-    return tuple(float(x) for x in compute_ims_batch(w, dt))
 
 
 # ---------------------------------------------------------------------------

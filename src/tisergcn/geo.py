@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,23 +73,10 @@ def _haversine_km(lat1, lon1, lat2, lon2):
     return EARTH_RADIUS_KM * 2 * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
-def geodesic_km(p1: tuple[float, float], p2: tuple[float, float]) -> float:
-    """Great-circle distance in km between two (lat, lon) points in degrees.
-
-    Spherical earth, haversine formula.  Symmetric; zero iff the points
-    coincide.
-    """
-    _check_coords(*p1)
-    _check_coords(*p2)
-    return float(_haversine_km(*p1, *p2))
-
-
 def pairwise_distances_km(stations: StationSet) -> np.ndarray:
     """(N, N) symmetric matrix of pairwise great-circle distances;
-    entry [i, j] equals ``geodesic_km`` of stations i and j."""
+    entry [i, j] equals ``_haversine_km`` of stations i and j."""
     lat, lon = stations.coords().T
-    for la, lo in zip(lat, lon):
-        _check_coords(la, lo)
     return _haversine_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
 
 
@@ -106,11 +93,6 @@ class SensorGraph:
     A: np.ndarray
     k: float
     dist_km: np.ndarray
-
-    def edges(self) -> list[tuple[int, int, float, float]]:
-        """Retained undirected edges as (i, j, weight, dist_km), i < j."""
-        return [(int(i), int(j), float(self.A[i, j]), float(self.dist_km[i, j]))
-                for i, j in zip(*np.nonzero(np.triu(self.A, 1)))]
 
 
 def build_adjacency(stations: StationSet, k: float) -> SensorGraph:
@@ -136,18 +118,6 @@ def build_adjacency(stations: StationSet, k: float) -> SensorGraph:
     return SensorGraph(n=n, A=A, k=float(k), dist_km=dist)
 
 
-@dataclass(frozen=True)
-class PropagationMatrix:
-    """N x N node-mixing matrix fed to graph-convolution layers.
-
-    kind is "laplacian" (I - D^{-1/2} A D^{-1/2}) or "renormalized"
-    (D~^{-1/2} (A + I) D~^{-1/2}, self-loops included in the degrees).
-    """
-
-    kind: str
-    M: np.ndarray
-
-
 def _inv_sqrt_degrees(deg: np.ndarray) -> np.ndarray:
     # isolated nodes get d^{-1/2} = 0 instead of a division error
     with np.errstate(divide="ignore"):
@@ -156,15 +126,14 @@ def _inv_sqrt_degrees(deg: np.ndarray) -> np.ndarray:
     return inv
 
 
-def normalized_laplacian(g: SensorGraph) -> PropagationMatrix:
+def normalized_laplacian(g: SensorGraph) -> np.ndarray:
     """Symmetrically normalized Laplacian I - D^{-1/2} A D^{-1/2}."""
     deg = g.A.sum(axis=1)
     inv = _inv_sqrt_degrees(deg)
-    L = np.eye(g.n) - (inv[:, None] * g.A) * inv[None, :]
-    return PropagationMatrix(kind="laplacian", M=L)
+    return np.eye(g.n) - (inv[:, None] * g.A) * inv[None, :]
 
 
-def renormalized_adjacency(g: SensorGraph) -> PropagationMatrix:
+def renormalized_adjacency(g: SensorGraph) -> np.ndarray:
     """Self-loop-augmented, symmetrically degree-normalized adjacency.
 
     A_hat = D~^{-1/2} (A + I) D~^{-1/2} with D~ the degrees of A + I.
@@ -173,11 +142,13 @@ def renormalized_adjacency(g: SensorGraph) -> PropagationMatrix:
     A_tilde = g.A + np.eye(g.n)
     deg = A_tilde.sum(axis=1)
     inv = _inv_sqrt_degrees(deg)
-    M = (inv[:, None] * A_tilde) * inv[None, :]
-    return PropagationMatrix(kind="renormalized", M=M)
+    return (inv[:, None] * A_tilde) * inv[None, :]
 
 
-def propagation_matrix(g: SensorGraph, kind: str) -> PropagationMatrix:
+def propagation_matrix(g: SensorGraph, kind: str) -> np.ndarray:
+    """The (N, N) node-mixing matrix fed to graph-convolution layers:
+    ``normalized_laplacian`` for "laplacian", ``renormalized_adjacency``
+    for "renormalized"."""
     if kind == "laplacian":
         return normalized_laplacian(g)
     if kind == "renormalized":
@@ -234,10 +205,11 @@ def save_stations_csv(path, stations: StationSet) -> None:
 
 
 def graph_to_dict(g: SensorGraph) -> dict:
+    """n, k and the retained undirected edges {i, j, weight, dist_km}, i < j."""
     return {
         "n": g.n,
         "k": g.k,
-        "edges": [
-            {"i": i, "j": j, "weight": w, "dist_km": d} for i, j, w, d in g.edges()
-        ],
+        "edges": [{"i": int(i), "j": int(j), "weight": float(g.A[i, j]),
+                   "dist_km": float(g.dist_km[i, j])}
+                  for i, j in zip(*np.nonzero(np.triu(g.A, 1)))],
     }

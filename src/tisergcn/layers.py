@@ -59,9 +59,6 @@ class Conv1DLayer:
     def apply(self, x: ad.Tensor) -> ad.Tensor:
         return ad.conv1d(x, self.kernels, self.stride, self.bias, self.activation)
 
-    def out_length(self, t: int) -> int:
-        return (t - self.kernels.shape[0]) // self.stride + 1
-
     def params(self):
         return [self.kernels, self.bias]
 

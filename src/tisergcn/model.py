@@ -24,7 +24,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import CheckpointFormatError, ConstructionError, ShapeError
-from .geo import PropagationMatrix
 from .layers import (ACTIVATIONS, Conv1DLayer, DenseLayer, GCNLayer, append_metadata,
                      node_feature_reshape)
 
@@ -220,16 +219,13 @@ class Model:
     def l2_params(self) -> list[ad.Tensor]:
         return [p for layer in self._layers() for p in layer.l2_params()]
 
-    def named_params(self) -> dict[str, ad.Tensor]:
-        return {p.name: p for p in self.params()}
-
     def param_count(self) -> int:
         return sum(p.data.size for p in self.params())
 
     # -- forward ------------------------------------------------------------
 
     def _prop_array(self, prop) -> np.ndarray:
-        m = prop.M if isinstance(prop, PropagationMatrix) else np.asarray(prop)
+        m = np.asarray(prop)
         if m.shape != (self.n_nodes, self.n_nodes):
             raise ShapeError(f"propagation matrix {m.shape} does not match n_nodes={self.n_nodes}")
         return m.astype(self.cfg.np_dtype)
@@ -265,26 +261,11 @@ class Model:
         stacked = ad.concat_last(outs)                   # (B, 5N)
         return ad.reshape(stacked, (b, len(IM_NAMES), self.n_nodes))
 
-    def predict(self, prop, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Single-event forward without a tape: x (N, T, C) -> (5, N) log10-domain
-        predictions."""
-        x = np.asarray(x)
-        if x.ndim != 3:
-            raise ShapeError(f"predict expects (N, T, C), got {x.shape}")
-        with ad.no_grad():
-            return self.forward(prop, x[None], z).data[0]
-
 
 def build_tiser_gcn(cfg: ModelConfig, n_nodes: int) -> Model:
     """Graph-convolutional regressor: conv x2 -> reshape -> (+meta) -> GCN stack
     -> flatten -> dense -> five linear heads of size n_nodes."""
     return Model("tiser", cfg, n_nodes)
-
-
-def build_cnn_baseline(cfg: ModelConfig, n_nodes: int) -> Model:
-    """Reference model with identical per-node front end; cross-station
-    information is gathered by one conv spanning the node axis."""
-    return Model("cnn", cfg, n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +338,7 @@ def load_checkpoint(path) -> Model:
     if not (isinstance(entries, list) and all(map(_is_param_entry, entries))):
         raise CheckpointFormatError(
             "metadata params must be a list of {name: str, shape: [int >= 0]}")
-    registry = model.named_params()
+    registry = {p.name: p for p in model.params()}
     # each record's header is checked against its entry and the rebuilt model,
     # which bounds its ndim and byte count, before its payload is read
     for entry in entries:
@@ -379,7 +360,12 @@ def load_checkpoint(path) -> Model:
             raise CheckpointFormatError(f"truncated parameter payload at offset {off}")
         values = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
         off += 8 * count
-        registry[name].data = values.astype(model.cfg.np_dtype)
+        with np.errstate(over="ignore"):
+            values = values.astype(model.cfg.np_dtype)
+        if not np.isfinite(values).all():
+            raise CheckpointFormatError(
+                f"parameter {name!r} holds values that are not finite in {model.cfg.dtype}")
+        registry[name].data = values
     if off != len(raw):
         raise CheckpointFormatError(f"{len(raw) - off} trailing bytes after offset {off}")
     return model

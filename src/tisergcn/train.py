@@ -10,14 +10,12 @@ per intensity measure over all (event, station) cells.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .data import EventDataset
 from .errors import InputError, TrainingDivergedError
-from .geo import PropagationMatrix
 from .model import IM_NAMES, MODEL_KINDS, Model, ModelConfig, check_fields
 from . import autodiff as ad
 
@@ -119,15 +117,8 @@ class TrainHistory:
     val_loss: list[float] = field(default_factory=list)
     best_epoch: int = -1
 
-    def curves_rows(self) -> list[str]:
-        rows = ["epoch,train_loss,val_loss"]
-        for e, tl in enumerate(self.train_loss):
-            vl = self.val_loss[e] if e < len(self.val_loss) else float("nan")
-            rows.append(f"{e},{tl!r},{vl!r}")
-        return rows
 
-
-def predict_batched(model: Model, prop: PropagationMatrix, X: np.ndarray,
+def predict_batched(model: Model, prop: np.ndarray, X: np.ndarray,
                     z: np.ndarray, batch_size: int = 32) -> np.ndarray:
     """Forward pass without a tape, chunked to bound memory: (E, 5, N).
 
@@ -146,7 +137,7 @@ def _dataset_mse(model, prop, X, Y, z, batch_size) -> float:
     return float(np.mean((pred - np.asarray(Y, dtype=np.float64)) ** 2))
 
 
-def train(model: Model, ds: EventDataset, prop: PropagationMatrix, cfg: TrainConfig,
+def train(model: Model, ds: EventDataset, prop: np.ndarray, cfg: TrainConfig,
           train_idx=None, val_idx=None, seed: int = 0) -> TrainHistory:
     """Mini-batch RMSprop on MSE + L2, early stopping on validation MSE.
 
@@ -218,7 +209,7 @@ def train(model: Model, ds: EventDataset, prop: PropagationMatrix, cfg: TrainCon
 # ---------------------------------------------------------------------------
 # metrics
 
-def evaluate(model: Model, ds: EventDataset, prop: PropagationMatrix,
+def evaluate(model: Model, ds: EventDataset, prop: np.ndarray,
              idx=None, batch_size: int = 32) -> dict:
     """Per-IM MAE / MSE / RMSE in log10 target space, plus an `overall` row."""
     idx = np.arange(ds.n_events) if idx is None else np.asarray(idx)
@@ -262,14 +253,6 @@ class RunReport:
     runs: list[dict]
     aggregate: dict
 
-    def to_json(self) -> str:
-        body = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        return json.dumps(body, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls(**json.loads(text))
-
 
 def _aggregate(run_metrics: list[dict]) -> dict:
     out = {}
@@ -281,7 +264,7 @@ def _aggregate(run_metrics: list[dict]) -> dict:
     return out
 
 
-def run_protocol(kind: str, ds: EventDataset, prop: PropagationMatrix,
+def run_protocol(kind: str, ds: EventDataset, prop: np.ndarray,
                  model_cfg: ModelConfig, cfg: TrainConfig,
                  seed: int) -> tuple[RunReport, dict]:
     """Repeats x folds training runs, each evaluated on its repeat's test set.

@@ -1,9 +1,12 @@
-"""Shared test helpers: finite-difference gradients and small fixtures."""
+"""Shared test helpers: finite-difference gradients, per-item oracles of
+batched code, and small fixtures."""
 
 import numpy as np
 import pytest
 
 from tisergcn import autodiff as ad
+from tisergcn.data import normalize_by_input_max
+from tisergcn.errors import InputError
 from tisergcn.geo import StationSet
 
 
@@ -51,6 +54,25 @@ def check_gradients(build_loss, params, tol=1e-6, eps=1e-5):
 def line_stations(n, spacing_deg=0.1):
     """Stations evenly spaced along the equator; distances are exact multiples."""
     return StationSet.from_pairs([(f"L{i}", 0.0, i * spacing_deg) for i in range(n)])
+
+
+def feature_vector(x):
+    """Oracle of ``baselines.event_features`` for one channel trace: its nine
+    FEATURE_NAMES statistics (population variance), with the energy as the
+    summed squared magnitude of the full DFT and power as energy / length."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise InputError(f"expected a non-empty vector, got shape {x.shape}")
+    energy = float(np.sum(np.abs(np.fft.fft(x)) ** 2))
+    lo, hi = float(x.min()), float(x.max())
+    return np.array([float(x.mean()), float(x.std()), float(x.var()), float(np.median(x)),
+                     lo, hi, hi - lo, energy, energy / x.size])
+
+
+def truncate_window(x, seconds, sample_rate_hz=100):
+    """Oracle of ``data.truncate_dataset`` for one event window (N, T, C):
+    its first ``seconds``, divided by their largest absolute amplitude."""
+    return normalize_by_input_max(x[:, :seconds * sample_rate_hz])[0]
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ nested-loop reimplementations, gradients against central finite
 differences (via the conftest helpers).
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ import tisergcn.autodiff as ad
 import tisergcn.fftconv as fftconv
 import tisergcn.pool as pool_module
 from tisergcn.errors import GraphReleasedError, ShapeError
-from tisergcn.model import ModelConfig, build_cnn_baseline, build_tiser_gcn
+from tisergcn.model import Model, ModelConfig, build_tiser_gcn
 
 from conftest import check_gradients
 
@@ -467,7 +468,7 @@ class TestConvPathSelection:
 
     def test_cnn_cross_layer_stays_on_im2col(self, monkeypatch):
         # conv1, conv2, then the cross layer spanning all stations (J = 1)
-        assert self.chosen(monkeypatch, build_cnn_baseline, ModelConfig(), 20) == \
+        assert self.chosen(monkeypatch, functools.partial(Model, "cnn"), ModelConfig(), 20) == \
             [False, True, False]
 
 

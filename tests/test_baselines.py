@@ -9,7 +9,6 @@ from tisergcn.baselines import (
     KNNChoice,
     dataset_features,
     event_features,
-    feature_vector,
     grid_search_cv,
     knn_fit_predict,
     knn_predict,
@@ -17,6 +16,8 @@ from tisergcn.baselines import (
 )
 from tisergcn.data import EventDataset, random_stations
 from tisergcn.errors import InputError
+
+from conftest import feature_vector
 
 
 def knn_oracle(train_f, train_y, q, k, weights):

@@ -22,7 +22,6 @@ from tisergcn.data import (
     V_P_KM_S,
     _newmark_peak_abs_accel,
     _station_distances_km,
-    compute_ims,
     compute_ims_batch,
     load_dataset,
     normalize_by_input_max,
@@ -31,7 +30,6 @@ from tisergcn.data import (
     synth_dataset,
     synth_event_waveforms,
     truncate_dataset,
-    truncate_window,
 )
 from tisergcn.errors import (
     ConsistencyError,
@@ -42,6 +40,8 @@ from tisergcn.errors import (
     TruncatedFileError,
 )
 from tisergcn.geo import StationSet
+
+from conftest import line_stations, truncate_window
 
 
 # ---------------------------------------------------------------------------
@@ -300,23 +300,23 @@ class TestBoundedChunks:
 
 class TestIntensityMeasures:
     def test_zero_waveform_gives_zero_ims(self):
-        ims = compute_ims(np.zeros((200, 3)), 0.01)
-        assert ims == (0.0,) * 5
+        ims = compute_ims_batch(np.zeros((200, 3)), 0.01)
+        assert ims.shape == (5,) and np.all(ims == 0.0)
 
     def test_pga_spike(self):
         w = np.zeros((100, 3))
         w[40, 1] = -1.0
-        assert compute_ims(w, 0.01)[0] == 1.0
+        assert compute_ims_batch(w, 0.01)[0] == 1.0
 
     def test_pga_takes_max_over_channels(self, rng):
         w = rng.standard_normal((300, 3))
-        assert compute_ims(w, 0.01)[0] == pytest.approx(np.abs(w).max(), abs=0)
+        assert compute_ims_batch(w, 0.01)[0] == pytest.approx(np.abs(w).max(), abs=0)
 
     def test_pgv_constant_acceleration(self):
         # v(t) = t under unit acceleration; trapezoid integration is exact
         w = np.zeros((101, 3))
         w[:, 0] = 1.0
-        pgv = compute_ims(w, 0.01)[1]
+        pgv = compute_ims_batch(w, 0.01)[1]
         assert pgv == pytest.approx(1.0, rel=1e-12)
 
     def test_pgv_sine_has_double_amplitude(self):
@@ -325,7 +325,7 @@ class TestIntensityMeasures:
         t = np.arange(0, 3.0, 0.005)
         w = np.zeros((t.size, 3))
         w[:, 2] = np.sin(2 * math.pi * f * t)
-        pgv = compute_ims(w, 0.005)[1]
+        pgv = compute_ims_batch(w, 0.005)[1]
         assert pgv == pytest.approx(2.0 / (2 * math.pi * f), rel=1e-4)
 
     @pytest.mark.parametrize("period", SA_PERIODS_S)
@@ -335,7 +335,7 @@ class TestIntensityMeasures:
         t = np.arange(0, 12.0 * period, dt)
         w = np.zeros((t.size, 3))
         w[:, 0] = np.sin(2 * math.pi / period * t)
-        got = compute_ims(w, dt)[2 + SA_PERIODS_S.index(period)]
+        got = compute_ims_batch(w, dt)[2 + SA_PERIODS_S.index(period)]
         want = sdof_peak_rk4(w[:, 0], dt, period)
         assert got == pytest.approx(want, rel=0.02)
 
@@ -345,44 +345,50 @@ class TestIntensityMeasures:
         sig = np.sin(2 * math.pi * 3.0 * t) + 0.4 * np.sin(2 * math.pi * 0.7 * t + 1.0)
         w = np.zeros((t.size, 3))
         w[:, 1] = sig
-        got = compute_ims(w, dt)[3]  # SA(1 s)
+        got = compute_ims_batch(w, dt)[3]  # SA(1 s)
         want = sdof_peak_rk4(sig, dt, 1.0)
         assert got == pytest.approx(want, rel=0.02)
 
     def test_sa_takes_max_over_channels(self, rng):
         w = rng.standard_normal((400, 3))
         per_channel = [
-            compute_ims(np.pad(w[:, [c]], ((0, 0), (0, 2))), 0.01)[2]
+            compute_ims_batch(np.pad(w[:, [c]], ((0, 0), (0, 2))), 0.01)[2]
             for c in range(3)
         ]
-        assert compute_ims(w, 0.01)[2] == pytest.approx(max(per_channel), rel=1e-12)
+        assert compute_ims_batch(w, 0.01)[2] == pytest.approx(max(per_channel), rel=1e-12)
 
     def test_linear_scaling(self, rng):
         w = rng.standard_normal((500, 3))
-        base = np.array(compute_ims(w, 0.01))
+        base = np.array(compute_ims_batch(w, 0.01))
         for c in (2.0, 0.5, 37.0):
-            scaled = np.array(compute_ims(c * w, 0.01))
+            scaled = np.array(compute_ims_batch(c * w, 0.01))
             assert np.allclose(scaled, c * base, rtol=1e-9, atol=0)
 
     def test_batch_matches_single(self, rng):
         w = rng.standard_normal((4, 6, 200, 3))
         batch = compute_ims_batch(w, 0.01)
         assert batch.shape == (4, 6, 5)
-        one = compute_ims(w[2, 3], 0.01)
+        one = compute_ims_batch(w[2, 3], 0.01)
         assert np.allclose(batch[2, 3], one, rtol=1e-14)
 
     def test_input_validation(self):
         with pytest.raises(InputError):
-            compute_ims(np.zeros((100, 3)), 0.0)
+            compute_ims_batch(np.zeros((100, 3)), 0.0)
         with pytest.raises(InputError):
             compute_ims_batch(np.zeros((1, 3)), 0.01)
         with pytest.raises(InputError):
-            compute_ims(np.zeros((100,)), 0.01)
+            compute_ims_batch(np.zeros((100,)), 0.01)
 
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, -0.01])
     def test_non_finite_or_negative_dt_rejected(self, dt):
         with pytest.raises(InputError):
             compute_ims_batch(np.ones((2, 100, 3)), dt)
+
+
+def one_event(x):
+    """A one-event, 100 Hz dataset whose window is x (N, T, C)."""
+    return EventDataset(stations=line_stations(x.shape[0]), X=x[None],
+                        Y=np.zeros((1, 5, x.shape[0])), sample_rate_hz=100)
 
 
 class TestNormalization:
@@ -406,7 +412,7 @@ class TestNormalization:
     def test_truncate_window_renormalizes(self, rng):
         x = rng.standard_normal((3, 1000, 3))
         x[:, :400, :] *= 0.001  # quiet head, loud tail
-        out = truncate_window(x, 4, 100)
+        out = truncate_dataset(one_event(x), 4).X[0]
         assert out.shape == (3, 400, 3)
         assert np.abs(out).max() == pytest.approx(1.0, abs=1e-15)
 
@@ -414,9 +420,9 @@ class TestNormalization:
         x = rng.standard_normal((2, 1000, 3))
         for bad in (3, 11):
             with pytest.raises(InputError):
-                truncate_window(x, bad, 100)
+                truncate_dataset(one_event(x), bad)
         with pytest.raises(InputError):
-            truncate_window(x[:, :300, :], 4, 100)
+            truncate_dataset(one_event(x[:, :300, :]), 4)
 
     def test_truncate_dataset_keeps_targets(self, rng):
         st = random_stations(3, seed=1)

@@ -11,8 +11,8 @@ from tisergcn.geo import (
     EARTH_RADIUS_KM,
     SensorGraph,
     StationSet,
+    _haversine_km,
     build_adjacency,
-    geodesic_km,
     graph_stats,
     graph_to_dict,
     load_stations_csv,
@@ -30,27 +30,27 @@ from conftest import line_stations
 # distances
 
 def test_quarter_circle_distance():
-    assert geodesic_km((0.0, 0.0), (0.0, 90.0)) == pytest.approx(10007.54, abs=0.01)
+    assert _haversine_km(0.0, 0.0, 0.0, 90.0) == pytest.approx(10007.54, abs=0.01)
 
 
 def test_distance_symmetry_and_identity(rng):
     for _ in range(20):
         p1 = (rng.uniform(-89, 89), rng.uniform(-179, 179))
         p2 = (rng.uniform(-89, 89), rng.uniform(-179, 179))
-        assert geodesic_km(p1, p2) == pytest.approx(geodesic_km(p2, p1), abs=0.0)
-        assert geodesic_km(p1, p1) == 0.0
+        assert _haversine_km(*p1, *p2) == pytest.approx(_haversine_km(*p2, *p1), abs=0.0)
+        assert _haversine_km(*p1, *p1) == 0.0
 
 
 def test_antipodal_distance_is_half_circumference():
     half = math.pi * EARTH_RADIUS_KM
-    assert geodesic_km((0.0, 0.0), (0.0, 180.0)) == pytest.approx(half, rel=1e-12)
+    assert _haversine_km(0.0, 0.0, 0.0, 180.0) == pytest.approx(half, rel=1e-12)
 
 
 def test_distance_range_validation():
     with pytest.raises(InputError):
-        geodesic_km((91.0, 0.0), (0.0, 0.0))
+        StationSet.from_pairs([("a", 91.0, 0.0), ("b", 0.0, 0.0)])
     with pytest.raises(InputError):
-        geodesic_km((0.0, 0.0), (0.0, 200.0))
+        StationSet.from_pairs([("a", 0.0, 0.0), ("b", 0.0, 200.0)])
 
 
 def test_pairwise_matrix_matches_scalar(rng):
@@ -62,7 +62,7 @@ def test_pairwise_matrix_matches_scalar(rng):
     for i in range(6):
         for j in range(6):
             assert d[i, j] == pytest.approx(
-                geodesic_km(tuple(coords[i]), tuple(coords[j])), abs=0.0)
+                _haversine_km(*coords[i], *coords[j]), abs=0.0)
 
 
 def haversine_math_km(p1, p2):
@@ -136,6 +136,11 @@ def test_stations_csv_header_check(tmp_path):
 # ---------------------------------------------------------------------------
 # adjacency construction
 
+def edge_list(g):
+    """The retained edges of graph_to_dict as (i, j, weight, dist_km) tuples."""
+    return [(e["i"], e["j"], e["weight"], e["dist_km"]) for e in graph_to_dict(g)["edges"]]
+
+
 def test_minmax_weights_three_stations():
     # equator stations at lon 0, 0.1, 0.3: pairwise distances d, 2d, 3d,
     # so the min-max scaled weights must be exactly 1, 0.5 and 0
@@ -144,19 +149,19 @@ def test_minmax_weights_three_stations():
     assert g.A[0, 1] == pytest.approx(1.0, abs=1e-9)
     assert g.A[1, 2] == pytest.approx(0.5, abs=1e-9)
     assert g.A[0, 2] == 0.0
-    assert len(g.edges()) == 2
+    assert len(edge_list(g)) == 2
 
 
 def test_threshold_is_strict():
     st = StationSet.from_pairs([("a", 0.0, 0.0), ("b", 0.0, 0.1), ("c", 0.0, 0.3)])
     g = build_adjacency(st, k=0.5)
     # the weight-0.5 edge sits exactly on the cutoff and must be dropped
-    assert [e[:2] for e in g.edges()] == [(0, 1)]
+    assert [e[:2] for e in edge_list(g)] == [(0, 1)]
 
 
 def test_threshold_one_gives_empty_graph():
     g = build_adjacency(line_stations(5), k=1.0)
-    assert g.edges() == []
+    assert edge_list(g) == []
     assert np.all(g.A == 0.0)
 
 
@@ -172,7 +177,7 @@ def test_edge_sets_shrink_monotonically(rng):
     st = StationSet.from_pairs(pts)
     previous = None
     for k in np.linspace(0.0, 1.0, 11):
-        edges = {e[:2] for e in build_adjacency(st, float(k)).edges()}
+        edges = {e[:2] for e in edge_list(build_adjacency(st, float(k)))}
         if previous is not None:
             assert edges <= previous
         previous = edges
@@ -198,14 +203,14 @@ def _random_graph(rng, n):
 def test_two_node_renormalized_exact():
     g = SensorGraph(n=2, A=np.array([[0.0, 1.0], [1.0, 0.0]]), k=0.0,
                     dist_km=np.array([[0.0, 5.0], [5.0, 0.0]]))
-    m = renormalized_adjacency(g).M
+    m = renormalized_adjacency(g)
     assert np.abs(m - 0.5).max() <= 1e-12
 
 
 def test_laplacian_against_nested_loop_oracle(rng):
     for n in (2, 4, 8):
         g = _random_graph(rng, n)
-        L = normalized_laplacian(g).M
+        L = normalized_laplacian(g)
         deg = g.A.sum(axis=1)
         oracle = np.zeros((n, n))
         for i in range(n):
@@ -221,7 +226,7 @@ def test_laplacian_against_nested_loop_oracle(rng):
 def test_renormalized_against_nested_loop_oracle(rng):
     for n in (2, 5, 8):
         g = _random_graph(rng, n)
-        M = renormalized_adjacency(g).M
+        M = renormalized_adjacency(g)
         At = g.A + np.eye(n)
         deg = At.sum(axis=1)
         oracle = np.zeros((n, n))
@@ -235,9 +240,9 @@ def test_isolated_node_conventions():
     A = np.zeros((3, 3))
     A[0, 1] = A[1, 0] = 0.8
     g = SensorGraph(n=3, A=A, k=0.0, dist_km=np.ones((3, 3)) - np.eye(3))
-    L = normalized_laplacian(g).M
+    L = normalized_laplacian(g)
     assert np.array_equal(L[2], [0.0, 0.0, 1.0])
-    M = renormalized_adjacency(g).M
+    M = renormalized_adjacency(g)
     # an isolated node still carries its self-loop
     assert M[2, 2] == pytest.approx(1.0)
     assert M[2, 0] == M[2, 1] == 0.0
@@ -245,8 +250,8 @@ def test_isolated_node_conventions():
 
 def test_propagation_matrix_dispatch():
     g = _random_graph(np.random.default_rng(0), 4)
-    assert propagation_matrix(g, "laplacian").kind == "laplacian"
-    assert propagation_matrix(g, "renormalized").kind == "renormalized"
+    assert np.array_equal(propagation_matrix(g, "laplacian"), normalized_laplacian(g))
+    assert np.array_equal(propagation_matrix(g, "renormalized"), renormalized_adjacency(g))
     with pytest.raises(InputError):
         propagation_matrix(g, "magic")
 
@@ -286,6 +291,6 @@ def test_edges_match_double_loop(rng):
         g = build_adjacency(st, k)
         want = [(i, j, float(g.A[i, j]), float(g.dist_km[i, j]))
                 for i in range(g.n) for j in range(i + 1, g.n) if g.A[i, j] > 0.0]
-        got = g.edges()
+        got = edge_list(g)
         assert got == want
         assert all(type(i) is int and type(j) is int for i, j, _, _ in got)

@@ -6,6 +6,7 @@ import pytest
 
 import tisergcn.autodiff as ad
 from tisergcn.errors import ShapeError
+from tisergcn.model import ModelConfig
 from tisergcn.layers import (
     Conv1DLayer,
     DenseLayer,
@@ -40,10 +41,13 @@ class TestInit:
 
 class TestConv1DLayer:
     def test_out_length(self):
+        # the lengths the layers produce are the ones ModelConfig.conv_chain plans
         layer = Conv1DLayer(125, 3, 32, 2, "relu", np.random.default_rng(0))
-        assert layer.out_length(1000) == 438
+        h = layer.apply(ad.Tensor(np.zeros((1, 1000, 3))))
+        assert h.shape == (1, 438, 32)
         second = Conv1DLayer(125, 32, 64, 2, "relu", np.random.default_rng(0))
-        assert second.out_length(438) == 157
+        assert second.apply(h).shape == (1, 157, 64)
+        assert ModelConfig().conv_chain() == [1000, 438, 157]
 
     def test_apply_shape_and_bias(self):
         layer = Conv1DLayer(3, 2, 5, 2, "linear", np.random.default_rng(0))

@@ -2,6 +2,7 @@
 shapes, and the checkpoint container format."""
 
 import json
+import math
 import struct
 from dataclasses import asdict
 
@@ -14,7 +15,6 @@ from tisergcn.model import (
     IM_NAMES,
     Model,
     ModelConfig,
-    build_cnn_baseline,
     build_tiser_gcn,
     load_checkpoint,
     save_checkpoint,
@@ -89,7 +89,7 @@ class TestAssembly:
         # graph mixing reuses one (F_in, F_out) matrix per layer; the
         # cross-station conv carries a full (N, F_in, 64) bank
         tiser = build_tiser_gcn(small_cfg, 5)
-        cnn = build_cnn_baseline(small_cfg, 5)
+        cnn = Model("cnn", small_cfg, 5)
         assert tiser.param_count() < cnn.param_count()
 
     def test_param_count_by_hand(self, small_cfg):
@@ -131,19 +131,10 @@ class TestForward:
         assert np.all(np.isfinite(out.data))
 
     def test_cnn_same_interface(self, small_cfg, prop5, rng):
-        model = build_cnn_baseline(small_cfg, 5)
+        model = Model("cnn", small_cfg, 5)
         x = rng.standard_normal((2, 5, 400, 3))
         out = model.forward(prop5, x, line_stations(5).coords())
         assert out.shape == (2, 5, 5)
-
-    def test_predict_single_event(self, small_cfg, prop5, rng):
-        model = build_tiser_gcn(small_cfg, 5)
-        x = rng.standard_normal((5, 400, 3))
-        z = line_stations(5).coords()
-        single = model.predict(prop5, x, z)
-        batched = model.forward(prop5, x[None], z).data[0]
-        assert single.shape == (5, 5)
-        assert np.array_equal(single, batched)
 
     def test_shape_validation(self, small_cfg, prop5, rng):
         model = build_tiser_gcn(small_cfg, 5)
@@ -152,8 +143,6 @@ class TestForward:
             model.forward(prop5, rng.standard_normal((2, 4, 400, 3)), z)
         with pytest.raises(ShapeError):
             model.forward(prop5, rng.standard_normal((2, 5, 399, 3)), z)
-        with pytest.raises(ShapeError):
-            model.predict(prop5, rng.standard_normal((5, 400)), z)
 
     def test_prop_matrix_size_checked(self, small_cfg, rng):
         model = build_tiser_gcn(small_cfg, 5)
@@ -288,6 +277,20 @@ class TestCheckpoint:
         at = rec + 4 + int.from_bytes(raw[rec:rec + 4], "little")
         path.write_bytes(raw[:at] + header + raw[at + len(header):])
         with pytest.raises(CheckpointFormatError, match="record"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [math.nan, 1e300], ids=["nan", "overflows-f32"])
+    def test_non_finite_parameter_is_a_format_error(self, small_cfg, tmp_path, value):
+        # the first value of the first record (conv1.kernels) rewritten in place;
+        # 1e300 is finite in the stored f64 but not in the f32 model
+        path = tmp_path / "model.tsrg"
+        save_checkpoint(build_tiser_gcn(small_cfg, 3), path)
+        raw = path.read_bytes()
+        rec = 12 + int.from_bytes(raw[8:12], "little")
+        at = rec + 4 + int.from_bytes(raw[rec:rec + 4], "little")
+        payload = at + 4 + 4 * int.from_bytes(raw[at:at + 4], "little")
+        path.write_bytes(raw[:payload] + struct.pack("<d", value) + raw[payload + 8:])
+        with pytest.raises(CheckpointFormatError, match="conv1.kernels"):
             load_checkpoint(path)
 
     def test_config_from_older_version(self, small_cfg, tmp_path):
