@@ -7,11 +7,10 @@ from dataclasses import asdict
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st
 
-from tisergcn.errors import TisergcnError  # noqa: E402
-from tisergcn.model import (ModelConfig, build_tiser_gcn, load_checkpoint,  # noqa: E402
-                            save_checkpoint)
+from tisergcn.errors import TisergcnError
+from tisergcn.model import ModelConfig, build_tiser_gcn, load_checkpoint, save_checkpoint
 
 TINY = ModelConfig(input_seconds=1, sample_rate_hz=20, conv_filters=(2, 2),
                    conv_kernels=(4, 4), conv_strides=(2, 2), gcn_filters=(2, 2),
