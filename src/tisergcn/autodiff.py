@@ -56,7 +56,7 @@ class Tensor:
         self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
         self.name = name
-        self.grad = np.zeros_like(self.data) if requires_grad and _backward is None else None
+        self.grad = None
         self._parents = _parents
         self._backward = _backward
 
@@ -74,7 +74,7 @@ class Tensor:
 
 
 def parameter(data, name: str = "") -> Tensor:
-    """Trainable leaf tensor with a zero-initialized gradient buffer."""
+    """Trainable leaf tensor; its .grad is None until a backward reaches it."""
     return Tensor(np.array(data), requires_grad=True, name=name)
 
 
@@ -330,12 +330,16 @@ def conv1d(x: Tensor, kernels: Tensor, stride: int = 1, bias: Tensor | None = No
       (stride >= K, or J = 1) is the plain unfold (Chellapilla et al.,
       2006) on a view of the kernels.
     - FFT (Mathieu, Henaff & LeCun, 2014), for long kernels over many
-      channels (module ``fftconv``): per chunk of sequences x is
-      transformed along time, each frequency takes one (C, F) product
-      with the conjugate kernel spectrum, and the inverse at L/stride of
-      the folded product gives the stride-th lags.  Transforms and
-      products run in float64 and the result is cast back; a thread pool
-      shares them out, and results do not depend on its size.
+      channels (module ``fftconv``): x is transformed along time, each
+      frequency takes one (C, F) product with the conjugate kernel
+      spectrum, and the inverse at L/stride of the folded product gives
+      the stride-th lags.  Each task of a thread pool carries one block of
+      sequences through every stage in its thread's own buffers.  Backward
+      runs two passes, the kernel gradient's sum over chunks and then the
+      input gradient's blocks, so its accumulator and the kernel spectrum
+      are never held together.  Transforms and products run in float64 and
+      the result is cast back; blocks and chunks are sized from the shapes,
+      so results do not depend on the pool size.
     """
     x, kernels = _as_tensor(x), _as_tensor(kernels)
     if kernels.data.ndim != 3:
@@ -518,11 +522,12 @@ def _propagate(node: Tensor, grads: dict) -> None:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(param) into each reachable parameter's .grad.
 
-    loss must be a scalar.  Parameters not on the path keep their existing
-    (zero-initialized) gradient buffers.  The graph is consumed: each node
-    drops its parents and closure once its closure has run, so activations and
-    gradients are freed as the pass walks back.  Outputs keep their .data, but
-    a second backward through any released node raises GraphReleasedError.
+    loss must be a scalar.  A parameter's first gradient (a copy) replaces
+    its None .grad; parameters not on the path keep theirs, None or not.  The
+    graph is consumed: each node drops its parents and closure once its
+    closure has run, so activations and gradients are freed as the pass walks
+    back.  Outputs keep their .data, but a second backward through any
+    released node raises GraphReleasedError.
     """
     if not isinstance(loss, Tensor) or loss.data.shape != ():
         got = getattr(loss, "shape", type(loss))
@@ -538,12 +543,12 @@ def backward(loss: Tensor) -> None:
             continue
         if node._backward is not None:
             _propagate(node, grads)
-        elif node.grad is None:  # leaf parameter
-            node.grad = np.array(grads.pop(id(node)))
-        else:
-            node.grad = node.grad + grads.pop(id(node))
+        else:  # leaf parameter
+            g = grads.pop(id(node))
+            node.grad = np.array(g) if node.grad is None else node.grad + g
 
 
 def zero_grad(params) -> None:
+    """Clear the gradients: each .grad is None until the next backward reaches it."""
     for p in params:
-        p.grad = np.zeros_like(p.data)
+        p.grad = None

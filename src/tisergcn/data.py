@@ -585,7 +585,10 @@ def save_dataset(path, ds: EventDataset) -> None:
 
 
 def _read_blob(path, expected_count: int, shape) -> np.ndarray:
-    actual = os.path.getsize(path)
+    try:
+        actual = os.path.getsize(path)
+    except OSError as exc:
+        raise DatasetFormatError(f"{path}: cannot read: {exc.strerror}") from None
     expected = expected_count * 4
     if actual != expected:
         raise TruncatedFileError(

@@ -5,33 +5,44 @@ the convolution becomes one (C, F) product per frequency between the
 input's spectrum and the conjugate kernel spectrum (Mathieu, Henaff &
 LeCun, "Fast Training of Convolutional Networks through FFTs", 2014).
 ``autodiff.conv1d`` imports this module the first time its cost estimate
-picks the FFT path, so models that never do skip compiling it.  Each
-stage shares its sequences or frequencies out over the process's threads
-(``pool.get_pool``).
+picks the FFT path, so models that never do skip compiling it.
+
+The forward pass and the input gradient are per-thread pipelines: one task
+of the process's pool (``pool.get_pool``) carries one block of sequences
+from time to spectra, through the product at every frequency and back to
+time, in buffers owned by its thread.  The kernel gradient sums over all
+sequences, so it runs first, in chunks shared out by frequency, and its
+accumulator is inverted before the same memory takes the kernel spectrum
+for the input gradient.  Blocks and chunks are sized from the shapes
+alone, so results do not depend on the pool size.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import numpy as np
 
 from . import autodiff as ad
 
-# Work per task; the pool's threads take tasks in turn: small
-# enough that a thread that starts late holds up little, large enough that
-# each task's numpy call outweighs its Python overhead.
+# Work per transform or product call: small enough that a thread that
+# starts late holds up little, large enough that each numpy call outweighs
+# its Python overhead.
 _ROWS = 4      # sequences per transform
-_FREQS = 16    # frequencies per product
+_FREQS = 16    # frequencies per product of the kernel-gradient sum
 
 
 class _Plan:
     """State of one FFT-path call on n sequences of length T, C -> F channels.
 
     L = stride * M is the transform length, M >= T/stride, and W = L/2 + 1
-    the number of frequencies.  Sequences go through in chunks of m, whose
-    two frequency-major spectra fit autodiff._CHUNK_BYTES.  Threads move up
-    to _ROWS sequences at a time between time-major (r, ., C) and
+    the number of frequencies.  One sequence's two spectra, (W, C) and
+    (W, F) complex128, take `row` = W (C + F) items.  A pipeline task
+    carries a block of up to `block` sequences, whose spectra in two
+    threads together fit autodiff._CHUNK_BYTES; the kernel-gradient pass
+    shares chunks of m sequences, whose spectra alone fit it.  Threads move
+    up to _ROWS sequences at a time between time-major (r, ., C) and
     frequency-major (W, r, C) layouts, in float64, through scratch of their
     own sized to the widest stage a call runs (C lines at length L or F at
     M), each stage taking a contiguous (r, lines, n) view of it.
@@ -41,11 +52,14 @@ class _Plan:
         self.M = ad._fft_length(-(-T // stride))
         self.L = stride * self.M
         self.W = self.L // 2 + 1
-        self.m = ad._chunk_rows(n, 16 * self.W * (C + F))
+        self.row = self.W * (C + F)
+        self.m = ad._chunk_rows(n, 16 * self.row)
+        self.block = ad._chunk_rows(n, 32 * self.row)
         self.samples = max(C * self.L, F * self.M)  # per sequence, widest stage
         self.bins = max(C * self.W, F * (self.M // 2 + 1))
         from .pool import get_pool
         self.pool = get_pool()
+        self.threads = min(self.pool.size, -(-n // self.block))  # that take blocks
         self._local = threading.local()
 
     def scratch(self, name: str, shape, dtype=np.float64) -> np.ndarray:
@@ -90,79 +104,107 @@ class _Plan:
         np.fft.irfft(s.transpose(1, 2, 0), n, out=t)
         out[...] = t[:, :, :out.shape[1]].transpose(0, 2, 1)
 
-    def kernel_spectrum(self, k: np.ndarray) -> np.ndarray:
-        """(K, C, F) -> (W, C, F) complex128, one input channel per task."""
-        out = np.empty((self.W,) + k.shape[1:], np.complex128)
+    def kernel_spectrum(self, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(K, C, F) -> out (W, C, F) complex128, one input channel per task."""
         self.pool.run(lambda i, j: np.fft.rfft(k[:, i:j], self.L, axis=0, out=out[:, i:j]),
                       k.shape[1], 1)
         return out
+
+    def work(self, rows: int) -> np.ndarray:
+        """Flat complex128 room for the spectra of `rows` sequences, or for
+        every thread's block if that is more."""
+        return np.empty(max(rows, self.threads * self.block) * self.row, np.complex128)
+
+    def pipeline(self, src, n_in, ks, n_out, out, work) -> None:
+        """out[i] from src[i] (., A) for every sequence i: its spectrum at
+        length n_in, times ks (W, A, B) at each frequency, folded and inverted
+        at length n_out into out[i] (., B).  One task per block of sequences,
+        in two (W, block, .) views of the slot of `work` that its thread
+        takes on its first task."""
+        W, A, B = ks.shape
+        slots = itertools.count()
+
+        def task(lo, hi):
+            buf = getattr(self._local, "slot", None)
+            if buf is None:
+                at = next(slots) * self.block * self.row
+                buf = self._local.slot = work[at:at + self.block * self.row]
+            a = buf[:W * self.block * A].reshape(W, self.block, A)[:, :hi - lo]
+            b = buf[W * self.block * A:].reshape(W, self.block, B)[:, :hi - lo]
+            rows = [(i, min(i + _ROWS, hi)) for i in range(lo, hi, _ROWS)]
+            for i, j in rows:
+                self.to_spectra(src[i:j], n_in, a[:, i - lo:j - lo])
+            np.matmul(a, ks, out=b)
+            for i, j in rows:
+                self.from_spectra(b[:, i - lo:j - lo], n_out, out[i:j])
+
+        self.pool.run(task, len(src), self.block)
 
 
 def forward(xf, k, stride, J):
     """(n, T, C) sequences through (K, C, F) kernels -> (n, J, F), the
     stride-th lags of the circular correlation, inverted at length M."""
     n, T, C = xf.shape
-    F = k.shape[2]
-    plan = _Plan(n, T, C, F, stride)
-    W, m, run = plan.W, plan.m, plan.pool.run
-    kc = plan.kernel_spectrum(k)
+    plan = _Plan(n, T, C, k.shape[2], stride)
+    kc = plan.kernel_spectrum(k, np.empty((plan.W,) + k.shape[1:], np.complex128))
     np.conjugate(kc, out=kc)
     kc /= stride  # the fold sums stride bins
-    xs = np.empty((W, m, C), np.complex128)
-    ys = np.empty((W, m, F), np.complex128)
-    out = np.empty((n, J, F), dtype=np.result_type(xf, k))
+    out = np.empty((n, J, k.shape[2]), dtype=np.result_type(xf, k))
+    plan.pipeline(xf, plan.L, kc, plan.M, out, plan.work(0))
+    return out
+
+
+def _kernel_gradient(plan, xf, g3, k, acc, work):
+    """conj(X)^T G summed over all sequences into acc (W, C, F), chunk after
+    chunk in `work`, each chunk's sum shared out by frequency (so its order
+    does not depend on the pool size), then inverted: the gradient of the
+    (K, C, F) kernels k."""
+    n, _, C = xf.shape
+    F = g3.shape[2]
+    W, m, run = plan.W, plan.m, plan.pool.run
+    gs = work[:W * m * F].reshape(W, m, F)
+    xs = work[W * m * F:m * plan.row].reshape(W, m, C)
+    acc[...] = 0  # the conjugate spectrum of gk
+
+    def accumulate(i, j, b):
+        xw = np.conjugate(xs[i:j, :b], out=xs[i:j, :b])
+        part = plan.scratch("part", (_FREQS, C, F), np.complex128)[:j - i]
+        acc[i:j] += np.matmul(xw.transpose(0, 2, 1), gs[i:j, :b], out=part)
+
     for lo in range(0, n, m):
         b = min(m, n - lo)
+        run(lambda i, j: plan.to_spectra(g3[lo + i:lo + j], plan.M, gs[:, i:j]), b, _ROWS)
         run(lambda i, j: plan.to_spectra(xf[lo + i:lo + j], plan.L, xs[:, i:j]), b, _ROWS)
-        run(lambda i, j: np.matmul(xs[i:j, :b], kc[i:j], out=ys[i:j, :b]), W, _FREQS)
-        run(lambda i, j: plan.from_spectra(ys[:, i:j], plan.M, out[lo + i:lo + j]), b, _ROWS)
-    return out
+        run(lambda i, j: accumulate(i, j, b), W, _FREQS)
+    gk = np.empty(k.shape, k.dtype)
+
+    def invert(i, j):
+        gk[:, i:j] = np.fft.irfft(np.conjugate(acc[:, i:j]), plan.L, axis=0)[:k.shape[0]]
+
+    run(invert, C, 1)
+    return gk
 
 
 def backward(xf, k, stride, g3, need_x, need_k):
     """Input and kernel gradients for the upstream gradient g3 (n, J, F).
 
-    One pass over the chunks transforms each chunk of g once, to gs.  The
-    kernel gradient accumulates conj(X)^T gs over all chunks into one
-    spectrum, inverted once at the end; the input gradient is gs (the
-    stride-upsampled g's spectrum: its length-M one, repeated) times the
-    kernel spectrum, inverted per chunk.
+    Two passes over one (W, C, F) spectrum and one work buffer, so the
+    kernel-gradient accumulator and the kernel spectrum are never held
+    together: the kernel gradient first (_kernel_gradient, the chunks'
+    spectra in `work`), then the input gradient, a pipeline (the blocks in
+    `work`) of g's spectrum (the stride-upsampled g's: its length-M one,
+    repeated) times the kernel spectrum, inverted at length L.  g is
+    transformed in both.  gx is made first and the buffers are shared by
+    the passes: made in pass order instead, a default training run's
+    resident peak read 10-15 MB higher in some runs than in others.
     """
     n, T, C = xf.shape
-    K, _, F = k.shape
-    plan = _Plan(n, T, C, F, stride)
-    W, m, run = plan.W, plan.m, plan.pool.run
-    gs = np.empty((W, m, F), np.complex128)
-    xs = np.empty((W, m, C), np.complex128)  # spectrum of x, then of the input gradient
-    if need_k:
-        acc = np.zeros((W, C, F), np.complex128)
-
-        def accumulate(i, j, b):
-            # conj(X)^T G summed over sequences: the conjugate spectrum of gk
-            xw = np.conjugate(xs[i:j, :b], out=xs[i:j, :b])
-            part = plan.scratch("part", (_FREQS, C, F), np.complex128)[:j - i]
-            acc[i:j] += np.matmul(xw.transpose(0, 2, 1), gs[i:j, :b], out=part)
-
-    gx = None
+    plan = _Plan(n, T, C, k.shape[2], stride)
+    gx = np.empty_like(xf) if need_x else None
+    spectrum = np.empty((plan.W,) + k.shape[1:], np.complex128)
+    work = plan.work(plan.m if need_k else 0)
+    gk = _kernel_gradient(plan, xf, g3, k, spectrum, work) if need_k else None
     if need_x:
-        ks = plan.kernel_spectrum(k)
-        gx = np.empty_like(xf)
-    for lo in range(0, n, m):
-        b = min(m, n - lo)
-        run(lambda i, j: plan.to_spectra(g3[lo + i:lo + j], plan.M, gs[:, i:j]), b, _ROWS)
-        if need_k:
-            run(lambda i, j: plan.to_spectra(xf[lo + i:lo + j], plan.L, xs[:, i:j]), b, _ROWS)
-            run(lambda i, j: accumulate(i, j, b), W, _FREQS)
-        if need_x:
-            run(lambda i, j: np.matmul(gs[i:j, :b], ks[i:j].transpose(0, 2, 1), out=xs[i:j, :b]),
-                W, _FREQS)
-            run(lambda i, j: plan.from_spectra(xs[:, i:j], plan.L, gx[lo + i:lo + j]), b, _ROWS)
-    gk = None
-    if need_k:
-        gk = np.empty(k.shape, k.dtype)
-
-        def invert(i, j):
-            gk[:, i:j] = np.fft.irfft(np.conjugate(acc[:, i:j]), plan.L, axis=0)[:K]
-
-        run(invert, C, 1)
+        plan.pipeline(g3, plan.M, plan.kernel_spectrum(k, spectrum).transpose(0, 2, 1),
+                      plan.L, gx, work)
     return gx, gk

@@ -182,17 +182,23 @@ def load_stations_csv(path) -> StationSet:
         raise InputError(f"{path}: not UTF-8 text at byte {exc.start}") from None
     except OSError as exc:
         raise InputError(f"{path}: cannot read station file: {exc.strerror}") from None
+    except ValueError as exc:  # a NUL in the path
+        raise InputError(f"{path!r}: cannot read station file: {exc}") from None
     with io.StringIO(text, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames[:3]] != ["id", "lat", "lon"]:
-            raise InputError(f"{path}: expected CSV header 'id,lat,lon'")
-        rows = []
-        for row in reader:
-            try:
-                rows.append((row["id"], float(row["lat"]), float(row["lon"])))
-            except (TypeError, ValueError):
-                raise InputError(f"{path}: line {reader.line_num}: lat and lon must be "
-                                 f"numbers, got {row['lat']!r}, {row['lon']!r}") from None
+        try:
+            if reader.fieldnames is None or \
+                    [f.strip() for f in reader.fieldnames[:3]] != ["id", "lat", "lon"]:
+                raise InputError(f"{path}: expected CSV header 'id,lat,lon'")
+            rows = []
+            for row in reader:
+                try:
+                    rows.append((row["id"], float(row["lat"]), float(row["lon"])))
+                except (TypeError, ValueError):
+                    raise InputError(f"{path}: line {reader.line_num}: lat and lon must be "
+                                     f"numbers, got {row['lat']!r}, {row['lon']!r}") from None
+        except csv.Error as exc:  # e.g. a field past csv's size limit
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
     return StationSet.from_pairs(rows)
 
 

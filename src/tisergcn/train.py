@@ -55,10 +55,13 @@ def rmsprop_step(params, state, cfg: TrainConfig, where: str = "") -> None:
     """One in-place update: v <- rho v + (1-rho) g^2; p <- p - lr g / (sqrt(v) + eps).
 
     Raises TrainingDivergedError on any non-finite gradient, naming the
-    parameter and the caller-supplied position tag.
+    parameter and the caller-supplied position tag.  A parameter whose
+    gradient is None (off the loss's path) is skipped.
     """
     for p, v in zip(params, state):
         g = p.grad
+        if g is None:
+            continue
         if not np.isfinite(g).all():
             raise TrainingDivergedError(
                 f"non-finite gradient in {p.name or 'parameter'}{where}")

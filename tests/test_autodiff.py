@@ -442,6 +442,80 @@ class TestFFTConv:
         check_gradients(lambda: ad.mse_loss(ad.conv1d(xp, wp, stride), t), [xp, wp])
 
 
+    def blocks_of(self, monkeypatch, rows, n, T, C, F, stride):
+        """Size _CHUNK_BYTES so that a pipeline task carries `rows` sequences
+        and a kernel-gradient chunk twice as many."""
+        W = fftconv._Plan(n, T, C, F, stride).W
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", 2 * 16 * W * (C + F) * rows)
+        plan = fftconv._Plan(n, T, C, F, stride)
+        assert (plan.block, plan.m) == (min(n, rows), min(n, 2 * rows))
+        return plan
+
+    # blocks of 3 over 7 sequences (3, 3, 1), each transformed 2 + 1 at a
+    # time, kernel-gradient chunks of 6 and 1; and one sequence alone
+    @pytest.mark.parametrize("n", [7, 1])
+    @pytest.mark.parametrize("stride,T", [(1, 12), (2, 15)])
+    def test_block_edges_match_oracle_and_unfold(self, rng, monkeypatch, fft_path, n, stride, T):
+        self.blocks_of(monkeypatch, 3, n, T, self.C, self.F, stride)
+        monkeypatch.setattr(fftconv, "_ROWS", 2)
+        J = (T - self.K) // stride + 1
+        x = rng.standard_normal((n, T, self.C))
+        w = rng.standard_normal((self.K, self.C, self.F))
+        g = rng.standard_normal((n, J, self.F))
+        y, gx, gk = conv_and_grads(x, w, stride, g)
+        assert np.max(np.abs(y - conv1d_oracle(x, w, stride))) <= 1e-12
+        want_x, want_k = ad._unfold_backward(x, w, stride, g, True, True)
+        assert np.max(np.abs(gx - want_x)) <= 1e-12
+        assert np.max(np.abs(gk - want_k)) <= 1e-12
+
+    def test_pipeline_bits_do_not_depend_on_pool_size(self, rng, monkeypatch, fft_path, pools):
+        # blocks of 3 over 10 sequences (3, 3, 3, 1), transformed 2 + 1 at a
+        # time; kernel-gradient chunks of 6 and 4, 3 frequencies per product
+        self.blocks_of(monkeypatch, 3, 10, 40, 3, 5, 2)
+        monkeypatch.setattr(fftconv, "_ROWS", 2)
+        monkeypatch.setattr(fftconv, "_FREQS", 3)
+        x = rng.standard_normal((10, 40, 3))
+        w = rng.standard_normal((9, 3, 5))
+        g = rng.standard_normal((10, (40 - 9) // 2 + 1, 5))
+        runs = []
+        for size in (1, 2, 3):
+            monkeypatch.setattr(pool_module, "_pool", pools[size])
+            runs.append(conv_and_grads(x, w, 2, g))
+        for run in runs[1:]:
+            for a, b in zip(runs[0], run):
+                assert np.array_equal(a, b)
+
+    def test_backward_never_holds_accumulator_and_kernel_spectrum(self, rng, monkeypatch,
+                                                                   pools):
+        """The traced peak inside backward stays below gx, gk, one (W, C, F)
+        spectrum, _CHUNK_BYTES (the kernel gradient's chunk, or two threads'
+        blocks), the thread's transform and product scratch and one input
+        channel's inverse (its (W, F) spectrum, a copy and its (L, F) lines):
+        the kernel-gradient accumulator becomes the kernel spectrum only once
+        it has been inverted.  One thread, so the scratch is made once."""
+        n, T, C, F, K = 8, 200, 32, 32, 40
+        monkeypatch.setattr(pool_module, "_pool", pools[1])
+        monkeypatch.setattr(fftconv, "_ROWS", 1)
+        monkeypatch.setattr(fftconv, "_FREQS", 4)
+        W = fftconv._Plan(n, T, C, F, 1).W
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", 4 * 16 * W * (C + F))  # four sequences
+        plan = fftconv._Plan(n, T, C, F, 1)
+        x, w = rng.standard_normal((n, T, C)), rng.standard_normal((K, C, F))
+        g = rng.standard_normal((n, T - K + 1, F))
+        fftconv.backward(x, w, 1, g, True, True)  # warm: imports, caches
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            gx, gk = fftconv.backward(x, w, 1, g, True, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        spectrum = 16 * plan.W * C * F
+        scratch = 8 * plan.samples + 16 * plan.bins + 16 * fftconv._FREQS * C * F  # _ROWS = 1
+        inverse = 2 * 16 * plan.W * F + 8 * plan.L * F
+        assert peak < gx.nbytes + gk.nbytes + spectrum + ad._CHUNK_BYTES + scratch + inverse
+
+
 class TestConvPathSelection:
     """Which path conv1d takes on the layers of real model configurations."""
 
@@ -606,7 +680,7 @@ class TestEngine:
         # d/dp of p^2 is 2p = 6; two accumulated passes give 12
         assert np.allclose(p.grad, [12.0])
         ad.zero_grad([p])
-        assert np.array_equal(p.grad, [0.0])
+        assert p.grad is None
 
     def test_untracked_inputs_stay_off_tape(self, rng):
         a = ad.Tensor(rng.standard_normal((2, 2)))
