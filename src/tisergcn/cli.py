@@ -294,6 +294,19 @@ def _write_report_artifacts(path: str, prov: dict, report, residuals: dict) -> N
                                  residuals["y_pred"]))
 
 
+def _score_every_event(path: str, prov: dict, model, prop, ds, batch_size: int,
+                       **fields) -> None:
+    """Predict every event of ``ds`` and write metrics.json (``fields``, the
+    model kind, provenance and metrics) and residuals.csv into ``path``."""
+    y_true = np.asarray(ds.Y, dtype=np.float64)
+    y_pred = predict_batched(model, prop, ds.X, ds.stations.coords(), batch_size)
+    write_json(os.path.join(path, "metrics.json"), {
+        **fields, "provenance": prov, "model_kind": model.kind,
+        "metrics": metrics_from_predictions(y_true, y_pred)})
+    write_csv(os.path.join(path, "residuals.csv"), prov, RESIDUAL_HEADER,
+              _residual_rows(np.arange(ds.n_events), y_true, y_pred))
+
+
 def cmd_train(args) -> int:
     started = time.monotonic()
     spec = load_spec(args)
@@ -309,21 +322,10 @@ def cmd_train(args) -> int:
     else:
         model = Model(spec.kind, replace(mcfg, init_seed=spec.seed), ds.n_nodes)
         hist = train(model, ds, prop, spec.train, seed=spec.seed)
-        y_true = np.asarray(ds.Y, dtype=np.float64)
-        y_pred = predict_batched(model, prop, ds.X, ds.stations.coords(),
-                                 spec.train.batch_size)
-        write_json(os.path.join(path, "metrics.json"), {
-            "provenance": prov,
-            "model_kind": spec.kind,
-            "protocol": "single",
-            "seed": spec.seed,
-            "param_count": model.param_count(),
-            "epochs_run": len(hist.train_loss),
-            "metrics": metrics_from_predictions(y_true, y_pred),
-        })
+        _score_every_event(path, prov, model, prop, ds, spec.train.batch_size,
+                           protocol="single", seed=spec.seed,
+                           param_count=model.param_count(), epochs_run=len(hist.train_loss))
         _write_curves(os.path.join(path, "curves.csv"), prov, hist.train_loss, hist.val_loss)
-        write_csv(os.path.join(path, "residuals.csv"), prov, RESIDUAL_HEADER,
-                  _residual_rows(np.arange(ds.n_events), y_true, y_pred))
         save_checkpoint(model, os.path.join(path, "checkpoint.tsrg"))
     write_run_log(path, "train", started)
     print(os.path.join(path, "metrics.json"))
@@ -338,16 +340,8 @@ def cmd_eval(args) -> int:
     ds = _load_windowed_dataset(spec)
     model = load_checkpoint(args.checkpoint)
     prop = _propagation(spec, ds, model.cfg)
-    y_true = np.asarray(ds.Y, dtype=np.float64)
-    y_pred = predict_batched(model, prop, ds.X, ds.stations.coords())
-    write_json(os.path.join(path, "metrics.json"), {
-        "provenance": prov,
-        "model_kind": model.kind,
-        "checkpoint": os.path.basename(args.checkpoint),
-        "metrics": metrics_from_predictions(y_true, y_pred),
-    })
-    write_csv(os.path.join(path, "residuals.csv"), prov, RESIDUAL_HEADER,
-              _residual_rows(np.arange(ds.n_events), y_true, y_pred))
+    _score_every_event(path, prov, model, prop, ds, 32,
+                       checkpoint=os.path.basename(args.checkpoint))
     write_run_log(path, "eval", started)
     print(os.path.join(path, "metrics.json"))
     return 0
@@ -451,8 +445,12 @@ def cmd_report(args) -> int:
                 raise InputError(f"{metrics_path}: invalid JSON: {exc}") from None
         if not isinstance(body, dict):
             raise InputError(f"{metrics_path}: not a JSON object")
-        if not isinstance(body.get("provenance", {}), dict):
-            raise InputError(f"{metrics_path}: provenance is not a JSON object")
+        stamp = body.get("provenance")
+        keys = ("spec_sha256", "code_version", "data_hash")
+        if "provenance" in body and not (
+                isinstance(stamp, dict) and all(isinstance(stamp.get(k), str) for k in keys)):
+            raise InputError(f"{metrics_path}: provenance must be a JSON object with "
+                             f"string {', '.join(keys)}")
         reports.append((run_dir, body))
     hashes = {r[1].get("provenance", {}).get("data_hash") for r in reports}
     if len(hashes) != 1:

@@ -549,9 +549,8 @@ def synth_dataset(stations: StationSet, n_events: int, seed: int, **synth) -> Ev
 
 def random_stations(n: int, seed: int,
                     lat_range=(42.0, 43.5), lon_range=(12.0, 14.0)) -> StationSet:
-    """Uniformly placed synthetic station set inside a bounding box."""
-    if n < 2:
-        raise InputError(f"need at least 2 stations, got {n}")
+    """Uniformly placed synthetic station set inside a bounding box; the
+    StationSet refuses fewer than 2 stations."""
     rng = np.random.default_rng(seed)
     pairs = [
         (f"S{i:03d}", rng.uniform(*lat_range), rng.uniform(*lon_range))
@@ -627,9 +626,10 @@ def load_dataset(path) -> EventDataset:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise DatasetFormatError(
                 f"{manifest_path}: {key} must be a non-negative integer, got {value!r}")
-    if manifest["sample_rate_hz"] < 1:
-        raise DatasetFormatError(
-            f"{manifest_path}: sample_rate_hz must be >= 1, got {manifest['sample_rate_hz']}")
+    for key in ("E", "sample_rate_hz"):
+        if manifest[key] < 1:
+            raise DatasetFormatError(
+                f"{manifest_path}: {key} must be >= 1, got {manifest[key]}")
     if not isinstance(manifest["station_file"], str):
         raise DatasetFormatError(
             f"{manifest_path}: station_file must be a file name, got {manifest['station_file']!r}")

@@ -168,7 +168,6 @@ class Model:
         self.kind = kind
         self.cfg = cfg
         self.n_nodes = int(n_nodes)
-        self.head_names = IM_NAMES
         dtype = cfg.np_dtype
         rng = np.random.default_rng(cfg.init_seed)
 

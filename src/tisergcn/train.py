@@ -77,7 +77,6 @@ def rmsprop_step(params, state, cfg: TrainConfig, where: str = "") -> None:
 class SplitPlan:
     """One repeat: a test set plus disjoint CV folds over the train part."""
     repeat: int
-    seed: int
     test_idx: np.ndarray
     folds: tuple[np.ndarray, ...]
 
@@ -102,12 +101,8 @@ def split_protocol(n_events: int, seed: int, cfg: TrainConfig | None = None) -> 
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(cfg.repeats)):
         rng = np.random.default_rng(child)
         perm = rng.permutation(n_events)
-        plans.append(SplitPlan(
-            repeat=r,
-            seed=int(rng.integers(0, 2**62)),
-            test_idx=perm[:n_test],
-            folds=tuple(np.array_split(perm[n_test:], cfg.folds)),
-        ))
+        plans.append(SplitPlan(repeat=r, test_idx=perm[:n_test],
+                               folds=tuple(np.array_split(perm[n_test:], cfg.folds))))
     return plans
 
 
@@ -127,7 +122,10 @@ def predict_batched(model: Model, prop: np.ndarray, X: np.ndarray,
 
     Runs under ``autodiff.no_grad``, so no op records a tape node and each
     batch's activations are freed as soon as the next layer has used them.
+    An empty ``X`` is an InputError.
     """
+    if X.shape[0] == 0:
+        raise InputError("evaluation set is empty")
     outs = []
     with ad.no_grad():
         for lo in range(0, X.shape[0], batch_size):
@@ -212,28 +210,14 @@ def train(model: Model, ds: EventDataset, prop: np.ndarray, cfg: TrainConfig,
 # ---------------------------------------------------------------------------
 # metrics
 
-def evaluate(model: Model, ds: EventDataset, prop: np.ndarray,
-             idx=None, batch_size: int = 32) -> dict:
-    """Per-IM MAE / MSE / RMSE in log10 target space, plus an `overall` row."""
-    idx = np.arange(ds.n_events) if idx is None else np.asarray(idx)
-    if idx.size == 0:
-        raise InputError("evaluation set is empty")
-    pred = predict_batched(model, prop, ds.X[idx], ds.stations.coords(), batch_size)
-    return metrics_from_predictions(np.asarray(ds.Y, dtype=np.float64)[idx], pred)
-
-
 def metrics_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> dict:
-    """Metric triple per IM over all (event, station) cells of (E, 5, N) arrays."""
+    """Per-IM MAE / MSE / RMSE in log10 target space over all (event, station)
+    cells of (E, 5, N) arrays, plus an `overall` row over every cell."""
     err = y_pred - y_true
     out = {}
-    for i, im in enumerate(IM_NAMES):
-        e = err[:, i, :]
+    for im, e in [*zip(IM_NAMES, err.swapaxes(0, 1)), ("overall", err)]:
         mse = float(np.mean(e * e))
-        out[im] = {"mae": float(np.mean(np.abs(e))), "mse": mse,
-                   "rmse": float(np.sqrt(mse))}
-    mse = float(np.mean(err * err))
-    out["overall"] = {"mae": float(np.mean(np.abs(err))), "mse": mse,
-                      "rmse": float(np.sqrt(mse))}
+        out[im] = {"mae": float(np.mean(np.abs(e))), "mse": mse, "rmse": float(np.sqrt(mse))}
     return out
 
 

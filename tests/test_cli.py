@@ -44,6 +44,10 @@ TINY_SPEC = {
 }
 
 
+VALID_METRICS = {im: {"mae": 1.0, "mse": 1.0, "rmse": 1.0}
+                 for im in ("pga", "pgv", "sa03", "sa1", "sa3", "overall")}
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """One synthesized dataset shared by every CLI test in this module."""
@@ -466,8 +470,10 @@ class TestErrorContract:
         {"runs": []},
         {"runs": [{"metrics": None}]},
         {"runs": 5},
-        {"provenance": 5, "metrics": {im: {"mae": 1.0, "mse": 1.0, "rmse": 1.0}
-                                      for im in ("pga", "pgv", "sa03", "sa1", "sa3", "overall")}},
+        {"provenance": 5, "metrics": VALID_METRICS},
+        {"provenance": {}, "metrics": VALID_METRICS},
+        {"provenance": {"spec_sha256": "a", "code_version": "b", "data_hash": [1]},
+         "metrics": VALID_METRICS},
     ])
     def test_report_malformed_metrics_names_file(self, tmp_path, capsys, body):
         run_dir = tmp_path / "run"
@@ -509,7 +515,9 @@ class TestErrorContract:
         assert rc == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "InputError"
+        err = json.loads(lines[0])
+        assert err["error"] == "DatasetFormatError"
+        assert "E must be >= 1" in err["message"]
 
     def test_spec_not_utf8(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

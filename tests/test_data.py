@@ -786,6 +786,7 @@ class TestContainer:
         (lambda m: {**m, "C": -3}, "C must be"),
         (lambda m: {**m, "station_file": 5}, "station_file"),
         (lambda m: {**m, "sample_rate_hz": 0}, "sample_rate_hz must be >= 1"),
+        (lambda m: {**m, "E": 0}, "E must be >= 1"),
     ])
     def test_malformed_manifest_values(self, ds, tmp_path, edit, match):
         save_dataset(tmp_path, ds)

@@ -17,7 +17,6 @@ from tisergcn.model import ModelConfig, build_tiser_gcn
 from tisergcn.train import (
     RunReport,
     TrainConfig,
-    evaluate,
     metrics_from_predictions,
     predict_batched,
     rmsprop_init,
@@ -108,7 +107,6 @@ class TestSplitProtocol:
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.test_idx, pb.test_idx)
             assert all(np.array_equal(x, y) for x, y in zip(pa.folds, pb.folds))
-            assert pa.seed == pb.seed
 
     def test_uneven_split_rounds(self):
         plans = split_protocol(99, seed=0)
@@ -296,11 +294,11 @@ class TestMetrics:
         for im in m:
             assert m[im]["rmse"] ** 2 == pytest.approx(m[im]["mse"], abs=1e-12)
 
-    def test_evaluate_rejects_empty(self, tiny_setup):
+    def test_predict_batched_rejects_empty(self, tiny_setup):
         ds, prop = tiny_setup
         model = build_tiser_gcn(tiny_model_cfg(), 3)
-        with pytest.raises(InputError):
-            evaluate(model, ds, prop, idx=np.array([], dtype=int))
+        with pytest.raises(InputError, match="evaluation set is empty"):
+            predict_batched(model, prop, ds.X[:0], ds.stations.coords())
 
 
 @pytest.fixture(scope="module")
