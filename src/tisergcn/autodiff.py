@@ -297,6 +297,9 @@ def _fft_cheaper(T: int, K: int, C: int, F: int, stride: int) -> bool:
     n log2 n and a complex float64 multiply-add _FFT_MAC_COST per real one.
     They were fitted with the FFT work on one thread, and only that path
     gains from more, so the choice errs towards the unfold on larger hosts.
+    They were fitted on complex128 transforms and products throughout and
+    are not refitted for the complex64 backward of float32 tensors, which
+    makes the FFT path somewhat cheaper than they estimate.
     """
     M = _fft_length(-(-T // stride))
     L = stride * M
@@ -337,9 +340,11 @@ def conv1d(x: Tensor, kernels: Tensor, stride: int = 1, bias: Tensor | None = No
       sequences through every stage in its thread's own buffers.  Backward
       runs two passes, the kernel gradient's sum over chunks and then the
       input gradient's blocks, so its accumulator and the kernel spectrum
-      are never held together.  Transforms and products run in float64 and
-      the result is cast back; blocks and chunks are sized from the shapes,
-      so results do not depend on the pool size.
+      are never held together.  The forward pass transforms and multiplies
+      in float64 and casts the result back; backward runs in float32 and
+      complex64 when x, the kernels and the gradient are all float32, else
+      in float64.  Blocks and chunks are sized from the shapes, so results
+      do not depend on the pool size.
     """
     x, kernels = _as_tensor(x), _as_tensor(kernels)
     if kernels.data.ndim != 3:

@@ -15,6 +15,15 @@ sequences, so it runs first, in chunks shared out by frequency, and its
 accumulator is inverted before the same memory takes the kernel spectrum
 for the input gradient.  Blocks and chunks are sized from the shapes
 alone, so results do not depend on the pool size.
+
+The forward pass runs in float64 (complex128 spectra) whatever the
+tensors' dtype, and its result is cast back: a float32 forward flips
+relu masks downstream and moved a default model's initial-weight
+gradients by up to 1.4e-3 (relative).  Backward runs in the tensors' own
+precision, float32 time lines, transforms and complex64 spectra when the
+input, the kernels and the upstream gradient are all float32.  That
+halves its spectrum and work bytes, and leaves those gradients within
+4.1e-6 of a float64-backward reference (3.9e-6 with a float64 backward).
 """
 
 from __future__ import annotations
@@ -38,21 +47,38 @@ class _Plan:
 
     L = stride * M is the transform length, M >= T/stride, and W = L/2 + 1
     the number of frequencies.  One sequence's two spectra, (W, C) and
-    (W, F) complex128, take `row` = W (C + F) items.  A pipeline task
+    (W, F) of dtype `complex` (complex128 or complex64, the transform
+    precision of `real`), take `row` = W (C + F) items.  A pipeline task
     carries a block of up to `block` sequences, whose spectra in two
-    threads together fit autodiff._CHUNK_BYTES; the kernel-gradient pass
-    shares chunks of m sequences, whose spectra alone fit it.  Threads move
-    up to _ROWS sequences at a time between time-major (r, ., C) and
-    frequency-major (W, r, C) layouts, in float64, through scratch of their
-    own sized to the widest stage a call runs (C lines at length L or F at
-    M), each stage taking a contiguous (r, lines, n) view of it.
+    threads together would fit autodiff._CHUNK_BYTES as complex128; the
+    kernel-gradient pass shares chunks of m sequences, whose complex128
+    spectra alone would fit it.  Sized from complex128 whatever the
+    precision, blocks and chunks hold the same sequences in half the bytes
+    at complex64: twice the sequences per block made a float32 backward
+    slower.  Threads move up to _ROWS sequences at a time between
+    time-major (r, ., C) and frequency-major (W, r, C) layouts, in `real`,
+    through scratch of their own sized to the widest stage a call runs (C
+    lines at length L or F at M), each stage taking a contiguous
+    (r, lines, n) view of it.
     """
 
-    def __init__(self, n: int, T: int, C: int, F: int, stride: int):
+    def __init__(self, n: int, T: int, C: int, F: int, stride: int, real=np.float64):
         self.M = ad._fft_length(-(-T // stride))
         self.L = stride * self.M
         self.W = self.L // 2 + 1
         self.row = self.W * (C + F)
+        self.real = np.dtype(real)
+        self.complex = np.result_type(self.real, np.complex64)
+        # numpy's rfft takes float32 lines through its float64 loop, on cast
+        # copies of the whole call, when it does not scale them (its unit
+        # factor is a Python int, which picks that loop).  A float32 plan
+        # scales each forward transform by 1/n instead and multiplies back
+        # what a product of two such spectra lost, `rescale` = L M, once
+        # per pass: into the kernels before their transform, and into the
+        # kernel gradient after its inverse.
+        single = self.real == np.float32
+        self.norm = "forward" if single else "backward"
+        self.rescale = self.L * self.M if single else 1
         self.m = ad._chunk_rows(n, 16 * self.row)
         self.block = ad._chunk_rows(n, 32 * self.row)
         self.samples = max(C * self.L, F * self.M)  # per sequence, widest stage
@@ -62,7 +88,7 @@ class _Plan:
         self.threads = min(self.pool.size, -(-n // self.block))  # that take blocks
         self._local = threading.local()
 
-    def scratch(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+    def scratch(self, name: str, shape, dtype) -> np.ndarray:
         """This thread's buffer `name`, made on its first use."""
         buf = getattr(self._local, name, None)
         if buf is None:
@@ -71,8 +97,8 @@ class _Plan:
         return buf
 
     def _lines(self, r: int, C: int, n: int):
-        t = self.scratch("t", _ROWS * self.samples)[:r * C * n]
-        s = self.scratch("s", _ROWS * self.bins, np.complex128)[:r * C * (n // 2 + 1)]
+        t = self.scratch("t", _ROWS * self.samples, self.real)[:r * C * n]
+        s = self.scratch("s", _ROWS * self.bins, self.complex)[:r * C * (n // 2 + 1)]
         return t.reshape(r, C, n), s.reshape(r, C, -1).transpose(2, 0, 1)
 
     def to_spectra(self, seqs, n, spectra) -> None:
@@ -82,7 +108,7 @@ class _Plan:
         t, s = self._lines(r, C, n)
         t[:, :, :J] = seqs.transpose(0, 2, 1)
         t[:, :, J:] = 0
-        np.fft.rfft(t, n, out=s.transpose(1, 2, 0))
+        np.fft.rfft(t, n, out=s.transpose(1, 2, 0), norm=self.norm)
         v = s.shape[0]
         for lo in range(0, self.W, n):
             a, b = min(v, self.W - lo), min(n, self.W - lo)
@@ -105,15 +131,17 @@ class _Plan:
         out[...] = t[:, :, :out.shape[1]].transpose(0, 2, 1)
 
     def kernel_spectrum(self, k: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """(K, C, F) -> out (W, C, F) complex128, one input channel per task."""
-        self.pool.run(lambda i, j: np.fft.rfft(k[:, i:j], self.L, axis=0, out=out[:, i:j]),
+        """(K, C, F) times `rescale` -> out (W, C, F), one input channel per
+        task, in out's precision."""
+        self.pool.run(lambda i, j: np.fft.rfft(k[:, i:j] * self.rescale, self.L, axis=0,
+                                               out=out[:, i:j], norm=self.norm),
                       k.shape[1], 1)
         return out
 
     def work(self, rows: int) -> np.ndarray:
-        """Flat complex128 room for the spectra of `rows` sequences, or for
-        every thread's block if that is more."""
-        return np.empty(max(rows, self.threads * self.block) * self.row, np.complex128)
+        """Flat room, of dtype `complex`, for the spectra of `rows` sequences,
+        or for every thread's block if that is more."""
+        return np.empty(max(rows, self.threads * self.block) * self.row, self.complex)
 
     def pipeline(self, src, n_in, ks, n_out, out, work) -> None:
         """out[i] from src[i] (., A) for every sequence i: its spectrum at
@@ -146,7 +174,7 @@ def forward(xf, k, stride, J):
     stride-th lags of the circular correlation, inverted at length M."""
     n, T, C = xf.shape
     plan = _Plan(n, T, C, k.shape[2], stride)
-    kc = plan.kernel_spectrum(k, np.empty((plan.W,) + k.shape[1:], np.complex128))
+    kc = plan.kernel_spectrum(k, np.empty((plan.W,) + k.shape[1:], plan.complex))
     np.conjugate(kc, out=kc)
     kc /= stride  # the fold sums stride bins
     out = np.empty((n, J, k.shape[2]), dtype=np.result_type(xf, k))
@@ -168,7 +196,7 @@ def _kernel_gradient(plan, xf, g3, k, acc, work):
 
     def accumulate(i, j, b):
         xw = np.conjugate(xs[i:j, :b], out=xs[i:j, :b])
-        part = plan.scratch("part", (_FREQS, C, F), np.complex128)[:j - i]
+        part = plan.scratch("part", (_FREQS, C, F), plan.complex)[:j - i]
         acc[i:j] += np.matmul(xw.transpose(0, 2, 1), gs[i:j, :b], out=part)
 
     for lo in range(0, n, m):
@@ -179,14 +207,17 @@ def _kernel_gradient(plan, xf, g3, k, acc, work):
     gk = np.empty(k.shape, k.dtype)
 
     def invert(i, j):
-        gk[:, i:j] = np.fft.irfft(np.conjugate(acc[:, i:j]), plan.L, axis=0)[:k.shape[0]]
+        lines = np.fft.irfft(np.conjugate(acc[:, i:j]), plan.L, axis=0)
+        np.multiply(lines[:k.shape[0]], plan.rescale, out=gk[:, i:j])
 
     run(invert, C, 1)
     return gk
 
 
 def backward(xf, k, stride, g3, need_x, need_k):
-    """Input and kernel gradients for the upstream gradient g3 (n, J, F).
+    """Input and kernel gradients for the upstream gradient g3 (n, J, F),
+    in float32 and complex64 when xf, k and g3 are all float32, else in
+    float64 and complex128.
 
     Two passes over one (W, C, F) spectrum and one work buffer, so the
     kernel-gradient accumulator and the kernel spectrum are never held
@@ -199,9 +230,10 @@ def backward(xf, k, stride, g3, need_x, need_k):
     resident peak read 10-15 MB higher in some runs than in others.
     """
     n, T, C = xf.shape
-    plan = _Plan(n, T, C, k.shape[2], stride)
+    single = all(a.dtype == np.float32 for a in (xf, k, g3))
+    plan = _Plan(n, T, C, k.shape[2], stride, np.float32 if single else np.float64)
     gx = np.empty_like(xf) if need_x else None
-    spectrum = np.empty((plan.W,) + k.shape[1:], np.complex128)
+    spectrum = np.empty((plan.W,) + k.shape[1:], plan.complex)
     work = plan.work(plan.m if need_k else 0)
     gk = _kernel_gradient(plan, xf, g3, k, spectrum, work) if need_k else None
     if need_x:

@@ -51,6 +51,27 @@ def conv1d_oracle(x, kernels, stride):
     return out.reshape(*lead, J, F)
 
 
+def conv1d_grad_oracle(x, kernels, stride, g):
+    """Input and kernel gradients of conv1d_oracle for the upstream gradient g."""
+    K, C, F = kernels.shape
+    n, J, _ = g.shape
+    gx, gk = np.zeros(x.shape), np.zeros(kernels.shape)
+    for l in range(n):
+        for j in range(J):
+            for f in range(F):
+                for u in range(K):
+                    for c in range(C):
+                        gx[l, j * stride + u, c] += kernels[u, c, f] * g[l, j, f]
+                        gk[u, c, f] += x[l, j * stride + u, c] * g[l, j, f]
+    return gx, gk
+
+
+def rel_err(got, want):
+    """Norm-wise relative error of got against want, in float64."""
+    want = np.asarray(want, np.float64)
+    return np.linalg.norm(np.asarray(got, np.float64) - want) / np.linalg.norm(want)
+
+
 def mix_nodes_oracle(m, h):
     lead = h.shape[:-2]
     n, f_dim = h.shape[-2], h.shape[-1]
@@ -386,16 +407,54 @@ class TestFFTConv:
                 assert np.array_equal(a, b)
 
     def test_float32_is_transformed_in_float64(self, rng, fft_path):
-        # float32 values take exactly the float64 path, then are rounded once
+        # the float32 forward takes exactly the float64 path, then is rounded
+        # once; its gradients run in float32 (the bounded test below)
         x = rng.standard_normal((4, 30, 3)).astype(np.float32)
         w = rng.standard_normal((7, 3, 2)).astype(np.float32)
         g = rng.standard_normal((4, 12, 2)).astype(np.float32)
         single = conv_and_grads(x, w, 2, g)
         double = conv_and_grads(x.astype(np.float64), w.astype(np.float64), 2,
                                 g.astype(np.float64))
-        for a, b in zip(single, double):
-            assert a.dtype == np.float32
-            assert np.array_equal(a, b.astype(np.float32))
+        assert all(a.dtype == np.float32 for a in single)
+        assert np.array_equal(single[0], double[0].astype(np.float32))
+
+    # (T - K) % stride != 0 for strides 2 and 3
+    @pytest.mark.parametrize("stride,T", [(1, 30), (2, 31), (3, 32)])
+    def test_float32_gradients_match_float64_and_nested_loops(self, rng, fft_path, stride, T):
+        # backward runs in float32 and complex64: 2.5e-7 norm-wise against
+        # float64 on the default conv2 shape, bounded at 1e-5
+        K, C, F, n = 7, 3, 4, 4
+        J = (T - K) // stride + 1
+        x = rng.standard_normal((n, T, C))
+        w = rng.standard_normal((K, C, F))
+        g = rng.standard_normal((n, J, F))
+        x32, w32, g32 = (a.astype(np.float32) for a in (x, w, g))
+        _, gx, gk = conv_and_grads(x32, w32, stride, g32)
+        assert gx.dtype == gk.dtype == np.float32
+        x64, w64, g64 = (a.astype(np.float64) for a in (x32, w32, g32))
+        _, want_x, want_k = conv_and_grads(x64, w64, stride, g64)
+        oracle_x, oracle_k = conv1d_grad_oracle(x32, w32, stride, g32)
+        for got, want, oracle in ((gx, want_x, oracle_x), (gk, want_k, oracle_k)):
+            assert rel_err(got, want) <= 1e-5
+            assert rel_err(got, oracle) <= 1e-5
+
+    def test_float32_backward_bits_do_not_depend_on_pool_size(self, rng, monkeypatch, fft_path,
+                                                              pools):
+        # the layout of test_pipeline_bits_do_not_depend_on_pool_size, in float32
+        self.blocks_of(monkeypatch, 3, 10, 40, 3, 5, 2)
+        monkeypatch.setattr(fftconv, "_ROWS", 2)
+        monkeypatch.setattr(fftconv, "_FREQS", 3)
+        x = rng.standard_normal((10, 40, 3)).astype(np.float32)
+        w = rng.standard_normal((9, 3, 5)).astype(np.float32)
+        g = rng.standard_normal((10, (40 - 9) // 2 + 1, 5)).astype(np.float32)
+        runs = []
+        for size in (1, 2, 3):
+            monkeypatch.setattr(pool_module, "_pool", pools[size])
+            runs.append(conv_and_grads(x, w, 2, g))
+        for run in runs[1:]:
+            for a, b in zip(runs[0], run):
+                assert a.dtype == np.float32
+                assert np.array_equal(a, b)
 
     def test_scratch_fits_the_widest_stage(self, rng, monkeypatch, fft_path):
         # C < F at stride 2: the gradient's F lines at M = L/2 are the widest
@@ -514,6 +573,62 @@ class TestFFTConv:
         scratch = 8 * plan.samples + 16 * plan.bins + 16 * fftconv._FREQS * C * F  # _ROWS = 1
         inverse = 2 * 16 * plan.W * F + 8 * plan.L * F
         assert peak < gx.nbytes + gk.nbytes + spectrum + ad._CHUNK_BYTES + scratch + inverse
+
+    def test_float32_backward_holds_complex64_spectrum_and_work(self, rng, monkeypatch, pools):
+        """The bound of test_backward_never_holds_accumulator_and_kernel_spectrum
+        at half the bytes for float32 tensors: a complex64 spectrum, work and
+        scratch (blocks and chunks hold the same sequences as in float64, so
+        the work buffer takes half of _CHUNK_BYTES), float32 time lines.  The
+        complex128 spectrum alone is past it."""
+        n, T, C, F, K = 8, 200, 32, 32, 40
+        monkeypatch.setattr(pool_module, "_pool", pools[1])
+        monkeypatch.setattr(fftconv, "_ROWS", 1)
+        monkeypatch.setattr(fftconv, "_FREQS", 4)
+        W = fftconv._Plan(n, T, C, F, 1).W
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", 4 * 16 * W * (C + F))  # four sequences
+        plan = fftconv._Plan(n, T, C, F, 1)
+        x = rng.standard_normal((n, T, C)).astype(np.float32)
+        w = rng.standard_normal((K, C, F)).astype(np.float32)
+        g = rng.standard_normal((n, T - K + 1, F)).astype(np.float32)
+        fftconv.backward(x, w, 1, g, True, True)  # warm: imports, caches
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            gx, gk = fftconv.backward(x, w, 1, g, True, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gx.dtype == gk.dtype == np.float32
+        spectrum = 8 * plan.W * C * F
+        scratch = 4 * plan.samples + 8 * plan.bins + 8 * fftconv._FREQS * C * F  # _ROWS = 1
+        inverse = 2 * 8 * plan.W * F + 4 * plan.L * F
+        bound = gx.nbytes + gk.nbytes + spectrum + ad._CHUNK_BYTES // 2 + scratch + inverse
+        assert peak < bound < gx.nbytes + gk.nbytes + 2 * spectrum
+
+
+def test_float32_model_gradients_match_float64(rng, fft_path):
+    """Every parameter's gradient of a float32 model whose convs take the FFT
+    path matches the same weights in float64, norm-wise within 1e-5: a pin
+    against a cut in the precision any layer computes in."""
+    cfg = ModelConfig(input_seconds=1, sample_rate_hz=60, conv_filters=(6, 8),
+                      conv_kernels=(9, 7), conv_strides=(2, 3), gcn_filters=(8, 8),
+                      dense_width=16)
+    n = 4
+    single = build_tiser_gcn(cfg, n)
+    double = build_tiser_gcn(ModelConfig(**{**vars(cfg), "dtype": "f64"}), n)
+    for p, q in zip(single.params(), double.params()):
+        q.data = p.data.astype(np.float64)
+    prop = rng.uniform(0, 0.5, (n, n))
+    x = rng.standard_normal((3, n, cfg.input_length, cfg.channels)).astype(np.float32)
+    z = rng.uniform(-1, 1, (n, 2))
+    y = rng.standard_normal((3, 5, n))
+    grads = []
+    for model in (single, double):
+        ad.backward(ad.mse_loss(model.forward(prop, x, z), y))
+        grads.append([p.grad for p in model.params()])
+    assert all(g.dtype == np.float32 for g in grads[0])
+    for p, got, want in zip(single.params(), *grads):
+        assert rel_err(got, want) <= 1e-5, p.name
 
 
 class TestConvPathSelection:
