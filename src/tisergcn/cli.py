@@ -1,11 +1,15 @@
 """Experiment runner: dataset synthesis, graph building, training,
 evaluation, ablation sweeps, and report consolidation.
 
-Every command is driven by one JSON spec (flags override fields) and is
-idempotent: identical spec + seed produce bitwise-identical artifacts.
-Wall-clock timing therefore lives in a separate ``run.log`` next to the
-deterministic outputs, and every artifact records the spec hash and a
-content hash of the installed package sources.
+Every command but ``report`` is driven by one JSON spec (flags override
+fields) and is idempotent: identical spec + seed produce bitwise-identical
+artifacts, each stamped with the spec hash and a content hash of the
+installed package sources.  A command is a function of the parsed
+arguments that makes its output directory, writes its artifacts and
+returns ``(run_dir, artifact_path)``.  ``main`` owns the rest of the
+lifecycle: it times the command, and only after it succeeds writes the
+wall-clock ``run.log`` into ``run_dir`` and prints ``artifact_path``; a
+failure ends as one JSON line on stderr with exit code 2.
 """
 
 from __future__ import annotations
@@ -17,14 +21,15 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
 from .data import (
     SynthConfig,
+    _window_samples,
     load_dataset,
     random_stations,
+    read_json_object,
     save_dataset,
     synth_dataset,
     truncate_dataset,
@@ -109,16 +114,7 @@ def load_spec(args) -> Spec:
     """Defaults merged with the user spec and flags, validated before any I/O."""
     spec = default_spec()
     if getattr(args, "spec", None):
-        with open(args.spec, encoding="utf-8") as fh:
-            try:
-                user = json.load(fh)
-            except UnicodeDecodeError as exc:
-                raise InputError(f"{args.spec}: not UTF-8 text at byte {exc.start}") from None
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{args.spec}: invalid JSON at offset {exc.pos}: {exc.msg}")
-        if not isinstance(user, dict):
-            raise InputError(f"{args.spec}: the spec must be a JSON object")
-        spec = _merge(spec, user)
+        spec = _merge(spec, read_json_object(args.spec, InputError))
     if getattr(args, "seed", None) is not None:
         spec["seed"] = args.seed
     if getattr(args, "dataset", None):
@@ -174,8 +170,8 @@ def dataset_path(spec: Spec) -> str:
     return os.path.join(os.environ.get("TISER_DATA_DIR", os.getcwd()), "dataset")
 
 
-def out_dir(args, command: str) -> str:
-    path = args.out or os.path.join(os.getcwd(), f"{command}-out")
+def out_dir(args) -> str:
+    path = args.out or os.path.join(os.getcwd(), f"{args.command}-out")
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -248,8 +244,7 @@ def _write_curves(path: str, prov: dict, train_loss, val_loss) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_synth(args) -> int:
-    started = time.monotonic()
+def cmd_synth(args) -> tuple[str, str]:
     spec = load_spec(args)
     recipe = asdict(spec.synth)
     stations = random_stations(recipe.pop("n_stations"), recipe.pop("station_seed"))
@@ -258,13 +253,10 @@ def cmd_synth(args) -> int:
     os.makedirs(path, exist_ok=True)
     save_dataset(path, ds)
     write_json(os.path.join(path, "provenance.json"), provenance(spec))
-    write_run_log(path, "synth", started)
-    print(path)
-    return 0
+    return path, path
 
 
-def cmd_build_graph(args) -> int:
-    started = time.monotonic()
+def cmd_build_graph(args) -> tuple[str, str]:
     spec = load_spec(args)
     ds = _load_windowed_dataset(spec)
     graph = build_adjacency(ds.stations, float(spec.graph_k))
@@ -276,11 +268,9 @@ def cmd_build_graph(args) -> int:
         "cutoff_km": cutoff,
         "provenance": provenance(spec),
     })
-    path = out_dir(args, "build-graph")
+    path = out_dir(args)
     write_json(os.path.join(path, "graph.json"), payload)
-    write_run_log(path, "build-graph", started)
-    print(os.path.join(path, "graph.json"))
-    return 0
+    return path, os.path.join(path, "graph.json")
 
 
 def _write_report_artifacts(path: str, prov: dict, report, residuals: dict) -> None:
@@ -307,14 +297,13 @@ def _score_every_event(path: str, prov: dict, model, prop, ds, batch_size: int,
               _residual_rows(np.arange(ds.n_events), y_true, y_pred))
 
 
-def cmd_train(args) -> int:
-    started = time.monotonic()
+def cmd_train(args) -> tuple[str, str]:
     spec = load_spec(args)
     prov = provenance(spec)
     ds = _load_windowed_dataset(spec)
     mcfg = _model_config(spec, ds)
     prop = _propagation(spec, ds, mcfg)
-    path = out_dir(args, "train")
+    path = out_dir(args)
 
     if spec.protocol == "cv":
         report, residuals = run_protocol(spec.kind, ds, prop, mcfg, spec.train, spec.seed)
@@ -327,34 +316,28 @@ def cmd_train(args) -> int:
                            param_count=model.param_count(), epochs_run=len(hist.train_loss))
         _write_curves(os.path.join(path, "curves.csv"), prov, hist.train_loss, hist.val_loss)
         save_checkpoint(model, os.path.join(path, "checkpoint.tsrg"))
-    write_run_log(path, "train", started)
-    print(os.path.join(path, "metrics.json"))
-    return 0
+    return path, os.path.join(path, "metrics.json")
 
 
-def cmd_eval(args) -> int:
-    started = time.monotonic()
+def cmd_eval(args) -> tuple[str, str]:
     spec = load_spec(args)
     prov = provenance(spec)
-    path = out_dir(args, "eval")
+    path = out_dir(args)
     ds = _load_windowed_dataset(spec)
     model = load_checkpoint(args.checkpoint)
     prop = _propagation(spec, ds, model.cfg)
     _score_every_event(path, prov, model, prop, ds, 32,
                        checkpoint=os.path.basename(args.checkpoint))
-    write_run_log(path, "eval", started)
-    print(os.path.join(path, "metrics.json"))
-    return 0
+    return path, os.path.join(path, "metrics.json")
 
 
-def _ablate(args, command: str, header: str, items, row) -> int:
-    """Shared ablation sweep: ``row(item, base)`` formats the CSV row of one
-    item of ``items(spec)``; ``base.run`` runs the protocol on the spec's
+def _ablate(args, header: str, rows) -> tuple[str, str]:
+    """Shared ablation sweep: the generator ``rows(spec, prov, ds, run)``
+    yields the CSV rows, where ``run`` runs the protocol on the spec's
     setting with the given kind, dataset, graph or model fields swapped."""
-    started = time.monotonic()
     spec = load_spec(args)
     prov = provenance(spec)
-    path = out_dir(args, command)
+    path = out_dir(args)
     ds = _load_windowed_dataset(spec)
     mcfg = _model_config(spec, ds)
     graph = build_adjacency(ds.stations, float(spec.graph_k))
@@ -364,51 +347,47 @@ def _ablate(args, command: str, header: str, items, row) -> int:
         prop = propagation_matrix(graph, cfg.propagation)
         return run_protocol(kind, ds, prop, cfg, spec.train, spec.seed)[0]
 
-    base = SimpleNamespace(spec=spec, prov=prov, ds=ds, run=run)
-    rows = [row(item, base) for item in items(spec)]
-    name = os.path.join(path, command.replace("-", "_") + ".csv")
-    write_csv(name, prov, header, rows)
-    write_run_log(path, command, started)
-    print(name)
-    return 0
+    name = os.path.join(path, args.command.replace("-", "_") + ".csv")
+    write_csv(name, prov, header, list(rows(spec, prov, ds, run)))
+    return path, name
 
 
 def _mean_mse(report) -> float:
     return report.aggregate["overall"]["mse"]["mean"]
 
 
-def cmd_ablate_k(args) -> int:
-    def row(k, base):
-        graph = build_adjacency(base.ds.stations, k)
-        edges, centrality, cutoff = graph_stats(graph)
-        mse = _mean_mse(base.run(graph=graph))
-        return f"{k!r},{cutoff!r},{edges},{centrality!r},{mse!r}"
+def cmd_ablate_k(args) -> tuple[str, str]:
+    def rows(spec, prov, ds, run):
+        for k in map(float, spec.ablate.ks):
+            graph = build_adjacency(ds.stations, k)
+            edges, centrality, cutoff = graph_stats(graph)
+            yield f"{k!r},{cutoff!r},{edges},{centrality!r},{_mean_mse(run(graph=graph))!r}"
 
-    return _ablate(args, "ablate-k", "k,cutoff_km,edges,avg_degree_centrality,mse",
-                   lambda spec: [float(k) for k in spec.ablate.ks], row)
-
-
-def cmd_ablate_window(args) -> int:
-    def row(item, base):
-        kind, seconds = item
-        report = base.run(kind, truncate_dataset(base.ds, seconds), input_seconds=seconds)
-        return f"{kind},{seconds},{report.param_count},{_mean_mse(report)!r}"
-
-    return _ablate(args, "ablate-window", "model,window_seconds,param_count,mse",
-                   lambda spec: [(kind, s) for kind in MODEL_KINDS
-                                 for s in spec.ablate.windows], row)
+    return _ablate(args, "k,cutoff_km,edges,avg_degree_centrality,mse", rows)
 
 
-def cmd_ablate_meta(args) -> int:
-    def row(item, base):
-        kind, meta = item
-        mse = _mean_mse(base.run(kind, use_metadata=meta))
-        return (f"{kind},{'on' if meta else 'off'},{mse!r},"
-                f"{base.spec.seed},{base.prov['spec_sha256']}")
+def cmd_ablate_window(args) -> tuple[str, str]:
+    def rows(spec, prov, ds, run):
+        # every window must fit before the first protocol runs
+        for seconds in spec.ablate.windows:
+            _window_samples(seconds, ds.sample_rate_hz, ds.n_samples)
+        for kind in MODEL_KINDS:
+            for seconds in spec.ablate.windows:
+                report = run(kind, truncate_dataset(ds, seconds), input_seconds=seconds)
+                yield f"{kind},{seconds},{report.param_count},{_mean_mse(report)!r}"
 
-    return _ablate(args, "ablate-meta", "model,metadata,mse,seed,spec_sha256",
-                   lambda spec: [(kind, meta) for kind in MODEL_KINDS for meta in (True, False)],
-                   row)
+    return _ablate(args, "model,window_seconds,param_count,mse", rows)
+
+
+def cmd_ablate_meta(args) -> tuple[str, str]:
+    def rows(spec, prov, ds, run):
+        for kind in MODEL_KINDS:
+            for meta in (True, False):
+                mse = _mean_mse(run(kind, use_metadata=meta))
+                yield (f"{kind},{'on' if meta else 'off'},{mse!r},"
+                       f"{spec.seed},{prov['spec_sha256']}")
+
+    return _ablate(args, "model,metadata,mse,seed,spec_sha256", rows)
 
 
 def _run_metrics(path, body: dict) -> list[dict]:
@@ -431,20 +410,13 @@ def _run_metrics(path, body: dict) -> list[dict]:
     return [r["metrics"] for r in runs]
 
 
-def cmd_report(args) -> int:
-    started = time.monotonic()
+def cmd_report(args) -> tuple[str, str]:
     if not args.runs:
         raise InputError("report needs at least one run directory")
     reports = []
     for run_dir in args.runs:
         metrics_path = os.path.join(run_dir, "metrics.json")
-        with open(metrics_path, encoding="utf-8") as fh:
-            try:
-                body = json.load(fh)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise InputError(f"{metrics_path}: invalid JSON: {exc}") from None
-        if not isinstance(body, dict):
-            raise InputError(f"{metrics_path}: not a JSON object")
+        body = read_json_object(metrics_path, InputError)
         stamp = body.get("provenance")
         keys = ("spec_sha256", "code_version", "data_hash")
         if "provenance" in body and not (
@@ -469,7 +441,7 @@ def cmd_report(args) -> int:
         md.append(f"| {im} | " + " | ".join(f"{c['mean']:.4f} ± {c['std']:.4f}"
                                            for c in cells.values()) + " |")
 
-    path = out_dir(args, "report")
+    path = out_dir(args)
     write_csv(os.path.join(path, "metrics_table.csv"), prov,
               "im,metric,mean,std", table_rows)
     residual_rows = []
@@ -484,9 +456,7 @@ def cmd_report(args) -> int:
     with open(os.path.join(path, "report.md"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(md) + "\n")
         fh.write(f"\nspec={prov['spec_sha256']} code={prov['code_version']}\n")
-    write_run_log(path, "report", started)
-    print(os.path.join(path, "report.md"))
-    return 0
+    return path, os.path.join(path, "report.md")
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tisergcn",
         description="Waveform-graph intensity regression experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--spec", help="JSON experiment spec; flags override fields")
-        p.add_argument("--seed", type=int, help="root RNG seed")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--dataset", help="dataset directory (default $TISER_DATA_DIR/dataset)")
-
     specs = [
         ("synth", cmd_synth, "generate a synthetic dataset"),
         ("build-graph", cmd_build_graph, "build and save the station graph"),
@@ -516,8 +479,13 @@ def build_parser() -> argparse.ArgumentParser:
     ]
     for name, func, help_text in specs:
         p = sub.add_parser(name, help=help_text)
-        common(p)
+        p.add_argument("--out", help="output directory")
         p.set_defaults(func=func)
+        if name != "report":
+            p.add_argument("--spec", help="JSON experiment spec; flags override fields")
+            p.add_argument("--seed", type=int, help="root RNG seed")
+            p.add_argument("--dataset",
+                           help="dataset directory (default $TISER_DATA_DIR/dataset)")
     sub.choices["build-graph"].add_argument("--k", type=float, help="edge-weight cutoff")
     sub.choices["eval"].add_argument("--checkpoint", required=True)
     sub.choices["train"].add_argument("--window", type=int,
@@ -528,14 +496,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        run_dir, artifact = args.func(args)
+        write_run_log(run_dir, args.command, started)
     except (TisergcnError, OSError) as exc:
         # OSError: a missing input file, or an output directory that cannot
         # be created (e.g. under a regular file)
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2
+    print(artifact)
+    return 0
 
 
 if __name__ == "__main__":

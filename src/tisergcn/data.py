@@ -27,6 +27,7 @@ from .errors import (
     DatasetVersionError,
     DegenerateInputError,
     InputError,
+    TisergcnError,
     TruncatedFileError,
 )
 from .geo import StationSet, load_stations_csv, save_stations_csv
@@ -583,6 +584,22 @@ def save_dataset(path, ds: EventDataset) -> None:
     np.ascontiguousarray(ds.Y, dtype="<f4").tofile(os.path.join(path, "Y.bin"))
 
 
+def read_json_object(path, error: type[TisergcnError]) -> dict:
+    """The JSON object in the UTF-8 file at ``path``.  Text that is not
+    UTF-8, invalid JSON (with its offset) or a JSON value other than an
+    object raises ``error`` naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            body = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text at byte {exc.start}") from None
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from None
+    if not isinstance(body, dict):
+        raise error(f"{path}: not a JSON object")
+    return body
+
+
 def _read_blob(path, expected_count: int, shape) -> np.ndarray:
     try:
         actual = os.path.getsize(path)
@@ -599,16 +616,7 @@ def load_dataset(path) -> EventDataset:
     manifest_path = os.path.join(path, MANIFEST_NAME)
     if not os.path.exists(manifest_path):
         raise DatasetFormatError(f"{manifest_path} not found")
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise DatasetFormatError(f"{manifest_path}: not UTF-8 text at byte {exc.start}") from None
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(
-                f"{manifest_path}: corrupt manifest at offset {exc.pos}: {exc.msg}") from None
-    if not isinstance(manifest, dict):
-        raise DatasetFormatError(f"{manifest_path}: not a JSON object")
+    manifest = read_json_object(manifest_path, DatasetFormatError)
 
     version = manifest.get("version")
     if version != DATASET_VERSION:

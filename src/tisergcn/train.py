@@ -94,6 +94,9 @@ def split_protocol(n_events: int, seed: int, cfg: TrainConfig | None = None) -> 
     if n_events < 10:
         raise InputError(f"need at least 10 events to split, got {n_events}")
     n_test = int(round(n_events * cfg.test_fraction))
+    if n_test < 1:
+        raise InputError(f"test_fraction {cfg.test_fraction} of {n_events} events "
+                         f"leaves no test event")
     if n_events - n_test < cfg.folds:
         raise InputError(
             f"{n_events} events leave {n_events - n_test} for {cfg.folds} folds")

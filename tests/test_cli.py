@@ -3,6 +3,7 @@ artifact layout, provenance stamps, bitwise idempotence, and the JSON
 error contract."""
 
 import json
+import math
 import os
 import shutil
 from types import SimpleNamespace
@@ -68,6 +69,24 @@ def run_ok(argv):
 def read_lines(path):
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh]
+
+
+COMMANDS = ["synth", "build-graph", "train", "train-single", "eval", "ablate-k",
+            "ablate-window", "ablate-meta", "report"]
+
+
+def command_argv(command, out, workdir, single, trained):
+    """The argv of one run of ``command`` on the module's fixtures, writing
+    to ``out``; ``train-single`` is ``train`` on the single-protocol spec."""
+    _, spec_path, data_dir = workdir
+    spec_single, single_out = single
+    return [command.removesuffix("-single"), "--out", str(out)] + {
+        "synth": ["--spec", spec_path],
+        "train-single": ["--spec", spec_single, "--dataset", data_dir],
+        "eval": ["--spec", spec_single, "--dataset", data_dir,
+                 "--checkpoint", str(single_out / "checkpoint.tsrg")],
+        "report": [str(trained)],
+    }.get(command, ["--spec", spec_path, "--dataset", data_dir])
 
 
 class TestSynth:
@@ -330,6 +349,39 @@ class TestReport:
         assert rc == 2
 
 
+class TestLifecycle:
+    """``main`` times every command, writes its run.log only after it
+    succeeds and prints the artifact path it returns."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_success_writes_one_run_log_and_prints_an_artifact(
+            self, workdir, single, trained, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        run_ok(command_argv(command, out, workdir, single, trained))
+        printed = capsys.readouterr().out.splitlines()[-1]
+        assert printed.startswith(str(out)) and os.path.exists(printed)
+        assert list(out.rglob("run.log")) == [out / "run.log"]
+        log = json.loads((out / "run.log").read_text())
+        assert log["command"] == command.removesuffix("-single")
+        assert math.isfinite(log["wall_clock_s"])
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "synth"])
+    def test_failure_prints_nothing_and_writes_no_run_log(
+            self, workdir, single, trained, tmp_path, capsys, command):
+        # every input directory (dataset or run directory) is missing
+        _, _, data_dir = workdir
+        out, missing = tmp_path / "out", str(tmp_path / "missing")
+        argv = [missing if a in (data_dir, str(trained)) else a
+                for a in command_argv(command, out, workdir, single, trained)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert not list(tmp_path.rglob("run.log"))
+
+
 class TestErrorContract:
     def test_missing_dataset_json_error(self, workdir, tmp_path, capsys):
         _, spec_path, _ = workdir
@@ -452,16 +504,42 @@ class TestErrorContract:
         run_ok(["build-graph", "--spec", str(path), "--dataset", data_dir,
                 "--out", str(tmp_path / "g")])
 
-    @pytest.mark.parametrize("text", ["{not json", "[]"])
+    @pytest.mark.parametrize("text", [b"{not json", b"[]", b"\xff"])
     def test_report_corrupt_metrics_json(self, tmp_path, capsys, text):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
-        (run_dir / "metrics.json").write_text(text)
+        (run_dir / "metrics.json").write_bytes(text)
         rc = main(["report", "--out", str(tmp_path / "o"), str(run_dir)])
         assert rc == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "InputError"
+
+    @pytest.mark.parametrize("flag", ["--spec", "--seed", "--dataset"])
+    def test_report_takes_no_spec_flags(self, trained, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", flag, "1", "--out", str(tmp_path / "o"), str(trained)])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_ablate_window_checks_every_window_before_training(self, workdir, tmp_path,
+                                                                capsys, monkeypatch):
+        # the 4-s window fits the 5-s dataset and the 10-s one does not
+        _, _, data_dir = workdir
+        called = []
+        monkeypatch.setattr("tisergcn.cli.run_protocol", lambda *a, **k: called.append(a))
+        spec = {**TINY_SPEC, "ablate": {**TINY_SPEC["ablate"], "windows": [4, 10]}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["ablate-window", "--spec", str(path), "--dataset", data_dir,
+                   "--out", str(tmp_path / "o")])
+        assert called == []
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "InputError"
+        assert "cannot truncate to 1000 samples" in err["message"]
 
     @pytest.mark.parametrize("body", [
         {},
@@ -536,13 +614,9 @@ class TestErrorContract:
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
 
-    @pytest.mark.parametrize("command", ["synth", "build-graph", "train", "eval",
-                                         "ablate-k", "ablate-window", "ablate-meta",
-                                         "report"])
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "train-single"])
     def test_output_dir_under_a_file(self, workdir, single, trained, tmp_path, capsys,
                                      monkeypatch, command):
-        _, spec_path, data_dir = workdir
-        spec_single, single_out = single
         # the directory is made before any training or prediction
         called = []
         for name in ("run_protocol", "predict_batched"):
@@ -550,13 +624,7 @@ class TestErrorContract:
                                 lambda *args, name=name, **kwargs: called.append(name))
         blocker = tmp_path / "file"
         blocker.write_text("")
-        argv = [command, "--out", str(blocker / "sub")] + {
-            "synth": ["--spec", spec_path],
-            "eval": ["--spec", spec_single, "--dataset", data_dir,
-                     "--checkpoint", str(single_out / "checkpoint.tsrg")],
-            "report": [str(trained)],
-        }.get(command, ["--spec", spec_path, "--dataset", data_dir])
-        assert main(argv) == 2
+        assert main(command_argv(command, blocker / "sub", workdir, single, trained)) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "NotADirectoryError"

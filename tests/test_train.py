@@ -118,6 +118,11 @@ class TestSplitProtocol:
         with pytest.raises(InputError):
             split_protocol(10, seed=0, cfg=TrainConfig(test_fraction=0.6))
 
+    def test_fraction_rounding_to_no_test_event(self):
+        # round(12 * 0.01) = 0: refused before any run trains, naming both values
+        with pytest.raises(InputError, match=r"test_fraction 0\.01 of 12 events"):
+            split_protocol(12, seed=0, cfg=TrainConfig(test_fraction=0.01))
+
 
 class TestTrainLoop:
     def test_identical_seeds_identical_history(self, tiny_setup):
