@@ -26,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GraphReleasedError, ShapeError
+from .pool import get_pool
 
 # Cap on the bytes of one conv1d window matrix (measured: CHANGES.md, chunked im2col).
 _CHUNK_BYTES = 8 << 20
@@ -38,6 +39,10 @@ _CHUNK_BYTES = 8 << 20
 # kernel-gradient time of 4, 6, 8, 12 and 16; the quick-start K=32, stride-4
 # layers are capped at 8 by ceil(K/stride).
 _BLOCK = 8
+
+# Least multiply-adds per pool task of _gemm and _chunks (measured: CHANGES.md,
+# BLAS on the caller).
+_TASK_MACS = 1 << 25
 
 # Weights of _fft_cheaper's cost model (fitted: CHANGES.md, FFT path and blocked unfold).
 _FFT_MAC_COST = 3.0
@@ -139,6 +144,22 @@ def _fused(out: np.ndarray, parents, backward_fn, bias, activation: str) -> Tens
     return _node(out, (*parents, bias), backward)
 
 
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, its output rows shared out over the pool in tasks sized from the
+    shapes alone: at least _TASK_MACS and 256 rows (each packs all of b), in
+    multiples of 64 rows (BLAS rounds a partial tile of rows its own way), a
+    lone last row (numpy's GEMV) joining the task before.  Sums are whole."""
+    (m, k), n = a.shape, b.shape[1]
+    step = 64 * max(4, -(-_TASK_MACS // (64 * k * n or 1)))
+    if m <= step:
+        return a @ b
+    out = np.empty((m, n), np.result_type(a, b))
+    cuts = [*range(0, m - 1, step), m]
+    get_pool().run(lambda i, j: np.matmul(a[cuts[i]:cuts[j]], b, out=out[cuts[i]:cuts[j]]),
+                   len(cuts) - 1, 1)
+    return out
+
+
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
            activation: str = "linear") -> Tensor:
     """activation(a @ b + bias) with b strictly 2-D; leading axes of a are folded.
@@ -152,12 +173,12 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None,
     if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
     k, n = b.data.shape
-    out = (a.data.reshape(-1, k) @ b.data).reshape(*a.data.shape[:-1], n)  # one GEMM
+    out = _gemm(a.data.reshape(-1, k), b.data).reshape(*a.data.shape[:-1], n)
 
     def backward(g):
         g2 = g.reshape(-1, n)
-        ga = (g2 @ b.data.T).reshape(a.data.shape) if a.requires_grad else None
-        gb = a.data.reshape(-1, k).T @ g2 if b.requires_grad else None
+        ga = _gemm(g2, b.data.T).reshape(a.data.shape) if a.requires_grad else None
+        gb = _gemm(a.data.reshape(-1, k).T, g2) if b.requires_grad else None
         return ga, gb
 
     return _fused(out, (a, b), backward, bias, activation)
@@ -185,10 +206,14 @@ def _chunk_rows(n: int, row_bytes: int) -> int:
     return max(1, min(n, _CHUNK_BYTES // row_bytes))
 
 
-def _chunks(n: int, row_bytes: int) -> list[slice]:
-    """Slices over n sequences whose window matrix fits _CHUNK_BYTES (at
-    least one sequence per slice)."""
-    step = _chunk_rows(n, row_bytes)
+def _chunks(n: int, row_bytes: int, seq_macs: int = 0) -> list[slice]:
+    """Near-equal slices over n sequences, each a pool task holding its window
+    matrix: as few as let two fit _CHUNK_BYTES (at least one sequence each),
+    or, when one would hold all n, one per _TASK_MACS of n * seq_macs."""
+    count = -(-n // _chunk_rows(n, 2 * row_bytes))
+    if count == 1:
+        count = max(1, min(n, n * seq_macs // _TASK_MACS))
+    step = -(-n // count)
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
@@ -226,8 +251,13 @@ def _unfold_forward(xf, k, stride, J):
     n = xf.shape[0]
     out = np.empty((n, J, F), dtype=np.result_type(xf, w))
     full = out[:, :Q * B].reshape(n, Q, B * F)
-    for sl in _chunks(n, Q * width * C * xf.itemsize):
-        full[sl] = (_block_rows(xf[sl], width, B * stride) @ w).reshape(-1, Q, B * F)
+    chunks = _chunks(n, Q * width * C * xf.itemsize, Q * width * C * B * F)
+
+    def task(i, j):
+        for sl in chunks[i:j]:
+            full[sl] = (_block_rows(xf[sl], width, B * stride) @ w).reshape(-1, Q, B * F)
+
+    get_pool().run(task, len(chunks), 1)
     r = J - Q * B
     if r:
         # the tail's r outputs: the top-left corner of the block matrix
@@ -242,16 +272,31 @@ def _unfold_backward(xf, k, stride, g3, need_x, need_k):
     n, J = g3.shape[:2]
     B, Q, width = _blocks(K, stride, J)
     w = _block_kernel(k, stride, B)
-    chunks = _chunks(n, Q * width * C * xf.itemsize)
+    chunks = _chunks(n, Q * width * C * xf.itemsize, Q * width * C * B * F)
     g_full = g3[:, :Q * B].reshape(n, Q, B * F)
     r = J - Q * B
     t0, tw = Q * B * stride, (r - 1) * stride + K
     g_tail = g3[:, Q * B:].reshape(n, r * F)
+    parts = [None] * len(chunks)  # each chunk's kernel-gradient product
+    gx = np.zeros_like(xf) if need_x else None
+
+    def task(i, j):
+        for c in range(i, j):
+            sl = chunks[c]
+            g2 = g_full[sl].reshape(-1, B * F)
+            if need_k:
+                parts[c] = _block_rows(xf[sl], width, B * stride).T @ g2
+            if need_x:
+                cols = (g2 @ w.T).reshape(-1, Q, width, C)
+                target = gx[sl]
+                for q in range(Q):
+                    # overlap-add: row q read samples q*B*stride .. + width - 1
+                    target[:, q * B * stride:q * B * stride + width] += cols[:, q]
+
+    get_pool().run(task, len(chunks), 1)
     gk = None
     if need_k:
-        gw = np.zeros_like(w)
-        for sl in chunks:
-            gw += _block_rows(xf[sl], width, B * stride).T @ g_full[sl].reshape(-1, B * F)
+        gw = sum(parts, np.zeros_like(w))  # in chunk order, whichever thread made each
         if r:
             gw[:tw * C, :r * F] += xf[:, t0:t0 + tw].reshape(n, tw * C).T @ g_tail
         # fold the B shifted copies of the kernel back into one
@@ -259,15 +304,7 @@ def _unfold_backward(xf, k, stride, g3, need_x, need_k):
         for b in range(1, B):
             gk = gk + gw[b * stride * C:(b * stride + K) * C, b * F:(b + 1) * F]
         gk = gk.reshape(K, C, F)
-    gx = None
     if need_x:
-        gx = np.zeros_like(xf)
-        for sl in chunks:
-            cols = (g_full[sl].reshape(-1, B * F) @ w.T).reshape(-1, Q, width, C)
-            target = gx[sl]
-            for q in range(Q):
-                # overlap-add: row q read samples q*B*stride .. + width - 1
-                target[:, q * B * stride:q * B * stride + width] += cols[:, q]
         if r:
             gx[:, t0:t0 + tw] += (g_tail @ w[:tw * C, :r * F].T).reshape(n, tw, C)
     return gx, gk
@@ -295,8 +332,8 @@ def _fft_cheaper(T: int, K: int, C: int, F: int, stride: int) -> bool:
     matrices, 4 W C F real multiply-adds.  In units of one direct float32
     multiply-add, a length-n transform of one line costs _FFT_LINE_COST
     n log2 n and a complex float64 multiply-add _FFT_MAC_COST per real one.
-    They were fitted with the FFT work on one thread, and only that path
-    gains from more, so the choice errs towards the unfold on larger hosts.
+    They were fitted with the FFT work on one thread and the unfold's GEMMs
+    on threaded OpenBLAS, before both paths ran as tasks of the pool.
     They were fitted on complex128 transforms and products throughout and
     are not refitted for the complex64 backward of float32 tensors, which
     makes the FFT path somewhat cheaper than they estimate.
@@ -322,29 +359,22 @@ def conv1d(x: Tensor, kernels: Tensor, stride: int = 1, bias: Tensor | None = No
       kernels: each window row holds B consecutive outputs, the input
       samples x[q*B*stride : q*B*stride + (B-1)*stride + K], so an input
       sample is copied about 1 + (K - stride)/(B*stride) times instead of
-      K/stride.  Each chunk of whole sequences (at most _CHUNK_BYTES of
-      rows) takes one GEMM against a block-Toeplitz kernel matrix, built
-      once per call, whose column block b is the flattened kernel shifted
-      down b*stride rows; the J mod B tail outputs use its top-left
-      corner.  The kernel gradient sums rows^T @ g into that matrix's
-      shape and folds its B shifted blocks back into (K, C, F).  The input
-      gradient takes one GEMM g @ matrix^T per chunk and overlap-adds each
-      row back onto the input samples it read: J/B adds, not J.  B = 1
-      (stride >= K, or J = 1) is the plain unfold (Chellapilla et al.,
-      2006) on a view of the kernels.
+      K/stride.  Chunks of whole sequences (_chunks) are the pool's tasks:
+      each unfolds its rows and takes one GEMM against a block-Toeplitz
+      kernel matrix, built once per call, whose column block b is the
+      flattened kernel shifted down b*stride rows; the J mod B tail outputs
+      use its top-left corner.  Backward, the chunks' rows^T @ g are summed
+      in chunk order into that matrix's shape, whose B shifted blocks fold
+      back into (K, C, F), and each chunk's g @ matrix^T is overlap-added
+      onto the samples its rows read: J/B adds, not J.  B = 1 (stride >= K,
+      or J = 1) is the plain unfold (Chellapilla et al., 2006) on a view of
+      the kernels.
     - FFT (Mathieu, Henaff & LeCun, 2014), for long kernels over many
-      channels (module ``fftconv``): x is transformed along time, each
-      frequency takes one (C, F) product with the conjugate kernel
-      spectrum, and the inverse at L/stride of the folded product gives
-      the stride-th lags.  Each task of a thread pool carries one block of
-      sequences through every stage in its thread's own buffers.  Backward
-      runs two passes, the kernel gradient's sum over chunks and then the
-      input gradient's blocks, so its accumulator and the kernel spectrum
-      are never held together.  The forward pass transforms and multiplies
-      in float64 and casts the result back; backward runs in float32 and
-      complex64 when x, the kernels and the gradient are all float32, else
-      in float64.  Blocks and chunks are sized from the shapes, so results
-      do not depend on the pool size.
+      channels: one (C, F) product per frequency, run as per-thread
+      pipelines of the pool (module ``fftconv``).
+
+    Chunks, FFT blocks and GEMM tasks are sized from the shapes alone, so
+    results do not depend on the pool size.
     """
     x, kernels = _as_tensor(x), _as_tensor(kernels)
     if kernels.data.ndim != 3:

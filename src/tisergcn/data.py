@@ -41,8 +41,6 @@ LOG_EPS = 1e-12
 _CHUNK_BYTES = 1 << 20
 # Steps per block of the blocked Newmark recursion.
 _NEWMARK_BLOCK = 32
-# Multiply-adds per Newmark GEMM, run by OpenBLAS on the caller (CHANGES.md, parallel synth).
-_GEMM_MACS = 1 << 18
 
 # synthetic source model
 V_P_KM_S = 6.0
@@ -194,22 +192,6 @@ def _newmark_operators(dt: float, period: float, damping: float):
     return ops
 
 
-def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = a @ b for 2-D a and b, in row slices of fewer than _GEMM_MACS
-    multiply-adds, with each row as one call over all rows gives it.  BLAS
-    rounds the rows of a last partial tile in its own way, so every slice
-    but the last holds a multiple of 64 rows, and a lone last row, which
-    numpy would send to GEMV, joins the slice before it."""
-    step = max(64, (_GEMM_MACS // (b.shape[0] * b.shape[1]) - 1) // 64 * 64)
-    m = a.shape[0]
-    bounds = [*range(0, m, step), m]
-    if m - bounds[-2] == 1 and len(bounds) > 2:
-        del bounds[-2]
-    for lo, hi in zip(bounds, bounds[1:]):
-        np.matmul(a[lo:hi], b, out=out[lo:hi])
-    return out
-
-
 def _newmark_buffers(n: int, rows: int, T: int) -> tuple[np.ndarray, np.ndarray]:
     """The two working buffers of _newmark_peak_abs_accel for n items of
     rows waveforms of T samples: whole items of about _CHUNK_BYTES of f64."""
@@ -230,8 +212,7 @@ def _newmark_peak_abs_accel(accel: np.ndarray, dt: float, period: float,
     free response.  The peak runs over the T - 1 steps only, not the
     padding of the last block.  Rows are taken in chunks of about
     _CHUNK_BYTES of f64 through the two reused ``buffers`` (from
-    _newmark_buffers, made here when not given), and each GEMM in row
-    slices of at most _GEMM_MACS multiply-adds.
+    _newmark_buffers, made here when not given).
     """
     accel = np.asarray(accel)
     lead, steps = accel.shape[:-1], accel.shape[-1] - 1
@@ -262,16 +243,15 @@ def _newmark_peak_abs_accel(accel: np.ndarray, dt: float, period: float,
         # then s_b = M^L s_(b-1) + dp_(b-1) E, summed by a doubling scan
         s = np.zeros((blocks, rows, 3))
         s[0, :, 2] = -a[..., 0].reshape(rows)
-        dpE = _matmul_rows(dp, E, np.empty((dp.shape[0], 3)))
-        s[1:] = dpE.reshape(rows, blocks, 3)[:, :-1].transpose(1, 0, 2)
+        s[1:] = (dp @ E).reshape(rows, blocks, 3)[:, :-1].transpose(1, 0, 2)
         flat = s.reshape(-1, 3)
         A, d = A0, 1
         while d < blocks:
             flat[d * rows:] += flat[:-d * rows] @ A
             A = A @ A
             d *= 2
-        r = _matmul_rows(dp, G, r_buf[:dp.size].reshape(dp.shape))
-        r += _matmul_rows(s.transpose(1, 0, 2).reshape(-1, 3), H, dp)
+        r = np.matmul(dp, G, out=r_buf[:dp.size].reshape(dp.shape))
+        r += np.matmul(s.transpose(1, 0, 2).reshape(-1, 3), H, out=dp)
         np.abs(r, out=r)
         peak[lo:lo + step] = r.reshape(a.shape[:2] + (blocks * L,))[..., :steps].max(axis=-1)
     return peak.reshape(lead)

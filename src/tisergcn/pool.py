@@ -1,16 +1,68 @@
 """The process's worker threads, shared by every stage that splits its work.
 
-The FFT convolution (``fftconv``) and the synthetic dataset
-(``data.synth_dataset``) hand ranges of their work to one pool; the numpy
-calls inside them (pocketfft, BLAS, the random generators) release the GIL,
-so the ranges run on all cores.  Both import this module on first use.
+The FFT convolution (``fftconv``), the large GEMMs of ``autodiff`` and the
+synthetic dataset (``data.synth_dataset``) hand ranges of their work to one
+pool; the numpy calls inside them (pocketfft, BLAS, the random generators)
+release the GIL, so the ranges run on all cores.  The pool owns the cores:
+every ``Pool.run`` holds ``blas_on_caller``, so OpenBLAS adds no threads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import queue
 import threading
+
+
+# numpy's OpenBLAS (get_num_threads, set_num_threads), () if absent, found on
+# first use.  Its count is the process's: all threads' scopes share one depth.
+_blas = None
+_blas_depth = _blas_saved = 0
+_blas_lock = threading.Lock()
+
+
+def _find_blas() -> tuple:
+    """The thread-count entry points of the OpenBLAS in numpy's wheel
+    (``numpy.libs``) under the names scipy-openblas and older wheels export."""
+    import ctypes
+    from pathlib import Path
+
+    import numpy as np
+
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get and put:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return ()
+
+
+@contextlib.contextmanager
+def blas_on_caller():
+    """Hold numpy's OpenBLAS at one thread, so that each BLAS call runs on the
+    thread making it and no OpenBLAS worker spins against the pool's threads.
+    Scopes nest, on one thread or many; the last to exit restores the count
+    the first found.  Without an OpenBLAS entry point this does nothing."""
+    global _blas, _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas is None:
+            _blas = _find_blas()
+        if _blas and _blas_depth == 0:
+            _blas_saved = _blas[0]()
+            _blas[1](1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas and _blas_depth == 0:
+                _blas[1](_blas_saved)
 
 
 class Pool:
@@ -36,6 +88,7 @@ class Pool:
             # default training step)
             del job
 
+    @blas_on_caller()
     def run(self, fn, n: int, grain: int) -> None:
         """fn(lo, hi) for each range [lo, lo + grain) of range(n).  The calling
         thread and up to size - 1 pool threads take ranges in turn until none

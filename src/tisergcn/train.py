@@ -17,6 +17,7 @@ import numpy as np
 from .data import EventDataset
 from .errors import InputError, TrainingDivergedError
 from .model import IM_NAMES, MODEL_KINDS, Model, ModelConfig, check_fields
+from .pool import blas_on_caller
 from . import autodiff as ad
 
 METRIC_NAMES = ("mae", "mse", "rmse")
@@ -46,9 +47,11 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # optimizer
 
-def rmsprop_init(params) -> list[np.ndarray]:
-    """Fresh squared-gradient accumulators, one per parameter tensor."""
-    return [np.zeros_like(p.data) for p in params]
+def rmsprop_init(params) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per parameter tensor: a fresh squared-gradient accumulator and two
+    scratch buffers of its shape for the update."""
+    return [(np.zeros_like(p.data), np.empty_like(p.data), np.empty_like(p.data))
+            for p in params]
 
 
 def rmsprop_step(params, state, cfg: TrainConfig, where: str = "") -> None:
@@ -56,9 +59,10 @@ def rmsprop_step(params, state, cfg: TrainConfig, where: str = "") -> None:
 
     Raises TrainingDivergedError on any non-finite gradient, naming the
     parameter and the caller-supplied position tag.  A parameter whose
-    gradient is None (off the loss's path) is skipped.
+    gradient is None (off the loss's path) is skipped.  The formula runs in
+    its own order through the state's scratch buffers: no temporaries.
     """
-    for p, v in zip(params, state):
+    for p, (v, a, b) in zip(params, state):
         g = p.grad
         if g is None:
             continue
@@ -66,8 +70,9 @@ def rmsprop_step(params, state, cfg: TrainConfig, where: str = "") -> None:
             raise TrainingDivergedError(
                 f"non-finite gradient in {p.name or 'parameter'}{where}")
         v *= cfg.rho
-        v += (1.0 - cfg.rho) * g * g
-        p.data -= cfg.lr * g / (np.sqrt(v) + cfg.eps)
+        v += np.multiply(np.multiply(1.0 - cfg.rho, g, out=a), g, out=a)
+        p.data -= np.divide(np.multiply(cfg.lr, g, out=a),
+                            np.add(np.sqrt(v, out=b), cfg.eps, out=b), out=a)
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +124,14 @@ class TrainHistory:
     best_epoch: int = -1
 
 
+@blas_on_caller()
 def predict_batched(model: Model, prop: np.ndarray, X: np.ndarray,
                     z: np.ndarray, batch_size: int = 32) -> np.ndarray:
     """Forward pass without a tape, chunked to bound memory: (E, 5, N).
 
     Runs under ``autodiff.no_grad``, so no op records a tape node and each
     batch's activations are freed as soon as the next layer has used them.
-    An empty ``X`` is an InputError.
+    An empty ``X`` is an InputError.  Holds ``pool.blas_on_caller``.
     """
     if X.shape[0] == 0:
         raise InputError("evaluation set is empty")
@@ -141,6 +147,7 @@ def _dataset_mse(model, prop, X, Y, z, batch_size) -> float:
     return float(np.mean((pred - np.asarray(Y, dtype=np.float64)) ** 2))
 
 
+@blas_on_caller()
 def train(model: Model, ds: EventDataset, prop: np.ndarray, cfg: TrainConfig,
           train_idx=None, val_idx=None, seed: int = 0) -> TrainHistory:
     """Mini-batch RMSprop on MSE + L2, early stopping on validation MSE.
@@ -154,6 +161,7 @@ def train(model: Model, ds: EventDataset, prop: np.ndarray, cfg: TrainConfig,
     `cfg.stop_below_train_loss` when that is set.
     Reported losses are data MSE only; the L2 term steers updates but is
     excluded from curves so they stay comparable across penalty settings.
+    Holds ``pool.blas_on_caller``, so no BLAS call wakes an OpenBLAS worker.
     """
     train_idx = np.arange(ds.n_events) if train_idx is None else np.asarray(train_idx)
     z = ds.stations.coords()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tisergcn import autodiff as ad
+from tisergcn import pool as pool_module
 from tisergcn.data import normalize_by_input_max
 from tisergcn.errors import InputError
 from tisergcn.geo import StationSet
@@ -78,3 +79,18 @@ def truncate_window(x, seconds, sample_rate_hz=100):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def blas_at_two():
+    """numpy's OpenBLAS set to 2 threads for the test, its count restored
+    afterwards; yields its get_num_threads.  Skips without an entry point."""
+    entry = pool_module._find_blas()
+    if not entry:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        pytest.skip(f"numpy's BLAS ({blas.get('name')}) has no OpenBLAS thread-count entry point")
+    get, put = entry
+    before = get()
+    put(2)
+    yield get
+    put(before)

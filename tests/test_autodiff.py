@@ -243,8 +243,8 @@ class TestChunkedConv:
         J = (T - self.K) // stride + 1
         _, Q, width = ad._blocks(self.K, stride, J)
         row_bytes = Q * width * self.C * 8
-        # two sequences per chunk: chunks of 2, 2 and 1
-        monkeypatch.setattr(ad, "_CHUNK_BYTES", 2 * row_bytes)
+        # two sequences per chunk, two chunks in _CHUNK_BYTES: chunks of 2, 2 and 1
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", 4 * row_bytes)
         assert [sl.indices(self.N) for sl in ad._chunks(self.N, row_bytes)] == \
             [(0, 2, 1), (2, 4, 1), (4, 5, 1)]
         x = rng.standard_normal((self.N, T, self.C))
@@ -293,8 +293,8 @@ class TestBlockedUnfold:
         J = (T - K) // stride + 1
         width = (B - 1) * stride + K
         assert ad._blocks(K, stride, J) == (B, Q, width) and J == Q * B + r
-        # two sequences per chunk: chunks of 2, 2 and 1
-        monkeypatch.setattr(ad, "_CHUNK_BYTES", 2 * Q * width * self.C * 8)
+        # two sequences per chunk, two chunks in _CHUNK_BYTES: chunks of 2, 2 and 1
+        monkeypatch.setattr(ad, "_CHUNK_BYTES", 4 * Q * width * self.C * 8)
         rows = self.spy(monkeypatch, "_block_rows")
         x = rng.standard_normal((self.N, T, self.C))
         w = rng.standard_normal((K, self.C, self.F))
@@ -344,6 +344,71 @@ def conv_and_grads(x, w, stride, g):
     y = ad.conv1d(xp, wp, stride)
     gx, gk, _ = y._backward(g)  # the third is the bias gradient, None here
     return y.data, gx, gk
+
+
+class TestGemmOnThePool:
+    """matmul's three GEMMs, and the unfold's chunks, as pool tasks."""
+
+    @staticmethod
+    def count_runs(monkeypatch, pool):
+        sizes = []
+        run = pool.run
+
+        def counted(fn, n, grain):
+            sizes.append(n)
+            run(fn, n, grain)
+
+        monkeypatch.setattr(pool, "run", counted)
+        return sizes
+
+    # every GEMM of more than 256 rows split: 769 rows in tasks of 256, 256
+    # and 257 (the lone last row joins the task before it), 513 in 256 and
+    # 257, and a 640-row weight gradient in 256, 256 and 128.  Each task
+    # holds over 2^20 multiply-adds, as a task of at least _TASK_MACS does:
+    # OpenBLAS takes smaller products through kernels that round otherwise.
+    @pytest.mark.parametrize("rows,k,n,tasks", [(769, 256, 64, [3, 3]), (513, 128, 64, [2, 2]),
+                                                (256, 640, 64, [3])])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matmul_bits_match_one_gemm_on_any_pool(self, rng, monkeypatch, pools,
+                                                    rows, k, n, tasks, dtype):
+        monkeypatch.setattr(ad, "_TASK_MACS", 1)
+        a = rng.standard_normal((rows, k)).astype(dtype)
+        w = rng.standard_normal((k, n)).astype(dtype)
+        g = rng.standard_normal((rows, n)).astype(dtype)
+        with pool_module.blas_on_caller():  # one BLAS thread, as inside train()
+            want = (a @ w, g @ w.T, a.T @ g)
+        for size in (1, 2, 3):
+            monkeypatch.setattr(pool_module, "_pool", pools[size])
+            runs = self.count_runs(monkeypatch, pools[size])
+            with pool_module.blas_on_caller():
+                y = ad.matmul(ad.parameter(a), ad.parameter(w))
+                got = (y.data, *y._backward(g)[:2])
+            assert runs == tasks
+            for have, expected in zip(got, want):
+                assert have.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_unfold_bits_do_not_depend_on_pool_size(self, rng, monkeypatch, pools, dtype):
+        monkeypatch.setattr(ad, "_fft_cheaper", lambda *shape: False)
+        x = rng.standard_normal((7, 40, 3)).astype(dtype)
+        w = rng.standard_normal((6, 3, 4)).astype(dtype)
+        g = rng.standard_normal((7, (40 - 6) // 2 + 1, 4)).astype(dtype)
+        monkeypatch.setattr(ad, "_TASK_MACS", 1)  # one sequence per chunk
+        runs = []
+        for size in (1, 2, 3):
+            monkeypatch.setattr(pool_module, "_pool", pools[size])
+            chunks = self.count_runs(monkeypatch, pools[size])
+            runs.append(conv_and_grads(x, w, 2, g))
+            assert chunks == [7, 7]  # forward, then both gradients in one run
+        for run in runs[1:]:
+            for a, b in zip(runs[0], run):
+                assert a.tobytes() == b.tobytes()
+        # one chunk: the forward and the input gradient split only their
+        # output rows; the kernel gradient sums the chunks in another grouping
+        monkeypatch.setattr(ad, "_TASK_MACS", 1 << 60)
+        y, gx, gk = conv_and_grads(x, w, 2, g)
+        assert y.tobytes() == runs[0][0].tobytes() and gx.tobytes() == runs[0][1].tobytes()
+        assert np.max(np.abs(gk - runs[0][2])) <= 50 * np.finfo(dtype).eps * np.max(np.abs(gk))
 
 
 class TestFFTConv:

@@ -220,19 +220,6 @@ class TestBlockedNewmark:
         assert np.array_equal(_newmark_peak_abs_accel(np.zeros((3, 500)), 0.01, 1.0),
                               np.zeros(3))
 
-    # the row counts of one GEMM slice (256 rows of G, 2730 of E and H) and
-    # of a 1 MB chunk (4096 rows), either side of them, and last slices of
-    # one to seven rows
-    @pytest.mark.parametrize("rows", [1, 2, 3, 255, 256, 257, 258, 259, 263, 2730, 2731,
-                                      4096, 4097, 4103])
-    def test_sliced_gemm_equals_one_matmul(self, rng, rows):
-        G, H, E, _ = data._newmark_operators(0.01, 1.0, SA_DAMPING)
-        dp = rng.standard_normal((rows, BLOCK))
-        s = rng.standard_normal((rows, 3))
-        for a, b in ((dp, G), (dp, E), (s, H)):
-            got = data._matmul_rows(a, b, np.empty((rows, b.shape[1])))
-            assert got.tobytes() == np.matmul(a, b).tobytes()
-
     def test_leading_axes_and_strided_input(self, rng):
         w = rng.standard_normal((3, 2, 300, 3))
         per_channel = np.moveaxis(w, -1, -2)              # (3, 2, 3, 300), strided
@@ -675,6 +662,17 @@ class TestSynthOnThePool:
         monkeypatch.setattr(data, "synth_event_waveforms", real)
         got = synth_dataset(self.STATIONS, 8, seed=11, **self.KW)
         assert got.X.tobytes() == X.tobytes() and got.Y.tobytes() == Y.tobytes()
+
+    def test_bytes_do_not_depend_on_pool_size_at_full_length(self, pool_of_size):
+        # 60-s records at 100 Hz: each Newmark product is one GEMM of
+        # thousands of rows, which OpenBLAS would thread outside a pool task
+        stations = random_stations(10, seed=0)
+        runs = []
+        for size in (1, 2, 3):
+            pool_of_size(size)
+            ds = synth_dataset(stations, 4, seed=3)
+            runs.append((ds.X.tobytes(), ds.Y.tobytes()))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_waveforms_written_into_out(self):
         event = SynthEvent((42.5, 13.0), 5.0, 4.5, 0.3, seed=7)

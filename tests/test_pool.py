@@ -1,8 +1,10 @@
 """The shared worker pool: every range runs once, on any pool size, a task's
-error reaches the caller, and a forked child gets a pool of its own."""
+error reaches the caller, and a forked child gets a pool of its own.  The
+BLAS scope holds OpenBLAS at one thread and restores its count."""
 
 import os
 import sys
+import threading
 import time
 import weakref
 
@@ -93,3 +95,60 @@ class TestPool:
         finally:
             fresh.close()
             pool_module._pool = first
+
+
+class TestBlasOnCaller:
+    def test_nested_scopes_restore_the_count(self, blas_at_two):
+        get = blas_at_two
+        with pool_module.blas_on_caller():
+            assert get() == 1
+            with pool_module.blas_on_caller():
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(ValueError):
+            with pool_module.blas_on_caller():
+                raise ValueError("inside")
+        assert get() == 2
+
+    def test_threads_enter_and_exit_under_contention(self, blas_at_two):
+        # more threads than cores and a short switch interval: a lost update
+        # of the shared depth leaves the count at 1, or restores 2 while
+        # another thread is still inside
+        get = blas_at_two
+        inside, errors = [], []
+
+        def enter_and_exit():
+            try:
+                for _ in range(200):
+                    with pool_module.blas_on_caller():
+                        inside.append(get())
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=enter_and_exit, daemon=True) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(inside) == 8 * 200 and set(inside) == {1}
+        assert get() == 2
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_pool_tasks_run_blas_on_their_thread(self, blas_at_two, size):
+        get = blas_at_two
+        pool = Pool(size)
+        seen = []
+        try:
+            pool.run(lambda lo, hi: seen.append(get()), 6, 1)
+        finally:
+            pool.close()
+        assert seen == [1] * 6
+        assert get() == 2

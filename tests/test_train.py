@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tisergcn.autodiff as ad
+import tisergcn.train as train_module
 from tisergcn.data import EventDataset, random_stations, synth_dataset
 from tisergcn.errors import InputError, TrainingDivergedError
 from tisergcn.geo import build_adjacency, propagation_matrix
@@ -55,11 +56,12 @@ class TestRMSprop:
     def test_zero_gradient_keeps_parameter(self):
         p = ad.parameter(np.array([2.5]))
         p.grad = np.array([0.0])
-        state = [np.array([0.04])]
+        state = rmsprop_init([p])
+        state[0][0][0] = 0.04
         rmsprop_step([p], state, TrainConfig())
         assert p.data[0] == 2.5
         # accumulator decays towards zero at rate rho
-        assert state[0][0] == pytest.approx(0.9 * 0.04, rel=1e-12)
+        assert state[0][0][0] == pytest.approx(0.9 * 0.04, rel=1e-12)
 
     def test_accumulator_is_per_tensor(self):
         a, b = ad.parameter(np.zeros(1)), ad.parameter(np.zeros(1))
@@ -75,6 +77,34 @@ class TestRMSprop:
         p.grad = np.array([1.0, np.nan])
         with pytest.raises(TrainingDivergedError, match="conv1.kernels"):
             rmsprop_step([p], rmsprop_init([p]), TrainConfig())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_the_formula(self, dtype):
+        # the update as one expression, with its temporaries, is the oracle
+        cfg = TrainConfig(lr=0.003, rho=0.85, eps=1e-6)
+        rng = np.random.default_rng(5)
+        shapes = [(3,), (4, 5), (2, 3, 4), (7,), (1,), (6, 2)] * 3
+        params = [ad.parameter(rng.standard_normal(s).astype(dtype)) for s in shapes]
+        want = [p.data.copy() for p in params]
+        v_want = [np.zeros_like(w) for w in want]
+        state = rmsprop_init(params)
+        for step in range(5):
+            grads = [rng.standard_normal(s).astype(dtype) for s in shapes]
+            grads[step] = None  # off the loss's path: skipped
+            for p, g in zip(params, grads):
+                p.grad = g
+            rmsprop_step(params, state, cfg)
+            for w, v, g in zip(want, v_want, grads):
+                if g is not None:
+                    v *= cfg.rho
+                    v += (1.0 - cfg.rho) * g * g
+                    w -= cfg.lr * g / (np.sqrt(v) + cfg.eps)
+            for p, (v, _, _), w, vw in zip(params, state, want, v_want):
+                assert p.data.dtype == dtype
+                assert p.data.tobytes() == w.tobytes() and v.tobytes() == vw.tobytes()
+        params[4].grad = np.full(1, np.inf, dtype)
+        with pytest.raises(TrainingDivergedError):
+            rmsprop_step(params, state, cfg)
 
 
 class TestSplitProtocol:
@@ -125,6 +155,38 @@ class TestSplitProtocol:
 
 
 class TestTrainLoop:
+    def test_holds_one_blas_thread_and_restores_it(self, tiny_setup, monkeypatch, blas_at_two):
+        get = blas_at_two
+        ds, prop = tiny_setup
+        seen = {"step": [], "predict": []}
+        real_step = train_module.rmsprop_step
+
+        def step(*args, **kwargs):
+            seen["step"].append(get())
+            real_step(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "rmsprop_step", step)
+        model = build_tiser_gcn(tiny_model_cfg(), 3)
+        real_forward = model.forward
+
+        def forward(*args):
+            if not ad._grad_enabled.get():  # inside predict_batched
+                seen["predict"].append(get())
+            return real_forward(*args)
+
+        model.forward = forward
+        cfg = TrainConfig(batch_size=4, max_epochs=2, repeats=1)
+        train(model, ds, prop, cfg, train_idx=np.arange(12), val_idx=np.arange(12, 16))
+        assert seen["step"] and set(seen["step"]) == {1}
+        assert seen["predict"] and set(seen["predict"]) == {1}
+        assert get() == 2
+        predict_batched(model, prop, ds.X, ds.stations.coords())
+        assert get() == 2
+        model.dense.W.data[:] = np.nan
+        with pytest.raises(TrainingDivergedError):
+            train(model, ds, prop, cfg)
+        assert get() == 2
+
     def test_identical_seeds_identical_history(self, tiny_setup):
         ds, prop = tiny_setup
         cfg = TrainConfig(batch_size=4, max_epochs=3, repeats=1)
