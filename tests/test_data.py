@@ -220,6 +220,31 @@ class TestBlockedNewmark:
         assert np.array_equal(_newmark_peak_abs_accel(np.zeros((3, 500)), 0.01, 1.0),
                               np.zeros(3))
 
+    # the row counts of one GEMM slice (256 rows of G, 2730 of E and H) and
+    # of a 1 MB chunk (4096 rows), either side of them, and last tiles of
+    # one to seven rows.  Each Newmark product is one np.matmul into the
+    # chunk's buffer, on one BLAS thread inside a pool task; it must give
+    # the bytes of one matmul that OpenBLAS slices over two threads.
+    @pytest.mark.parametrize("rows", [1, 2, 3, 255, 256, 257, 258, 259, 263, 2730, 2731,
+                                      4096, 4097, 4103])
+    def test_sliced_gemm_equals_one_matmul(self, rng, rows):
+        G, H, E, _ = data._newmark_operators(0.01, 1.0, SA_DAMPING)
+        dp = rng.standard_normal((rows, BLOCK))
+        s = rng.standard_normal((rows, 3))
+        entry = pool_module._find_blas()
+        before = entry[0]() if entry else None
+        for a, b in ((dp, G), (dp, E), (s, H)):
+            if entry:
+                entry[1](2)
+            try:
+                want = np.matmul(a, b)
+            finally:
+                if entry:
+                    entry[1](before)
+            with pool_module.blas_on_caller():
+                got = np.matmul(a, b, out=np.empty((rows, b.shape[1])))
+            assert got.tobytes() == want.tobytes()
+
     def test_leading_axes_and_strided_input(self, rng):
         w = rng.standard_normal((3, 2, 300, 3))
         per_channel = np.moveaxis(w, -1, -2)              # (3, 2, 3, 300), strided
