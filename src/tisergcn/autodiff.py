@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GraphReleasedError, ShapeError
-from .pool import get_pool
+from .pool import blas_on_caller, get_pool
 
 # Cap on the bytes of one conv1d window matrix (measured: CHANGES.md, chunked im2col).
 _CHUNK_BYTES = 8 << 20
@@ -554,6 +554,7 @@ def _propagate(node: Tensor, grads: dict) -> None:
         grads[key] = grads[key] + pg if key in grads else pg
 
 
+@blas_on_caller()
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(param) into each reachable parameter's .grad.
 
@@ -562,7 +563,7 @@ def backward(loss: Tensor) -> None:
     graph is consumed: each node drops its parents and closure once its
     closure has run, so activations and gradients are freed as the pass walks
     back.  Outputs keep their .data, but a second backward through any
-    released node raises GraphReleasedError.
+    released node raises GraphReleasedError.  Holds ``pool.blas_on_caller``.
     """
     if not isinstance(loss, Tensor) or loss.data.shape != ():
         got = getattr(loss, "shape", type(loss))

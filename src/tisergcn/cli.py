@@ -315,7 +315,7 @@ def cmd_train(args) -> tuple[str, str]:
                            protocol="single", seed=spec.seed,
                            param_count=model.param_count(), epochs_run=len(hist.train_loss))
         _write_curves(os.path.join(path, "curves.csv"), prov, hist.train_loss, hist.val_loss)
-        save_checkpoint(model, os.path.join(path, "checkpoint.tsrg"))
+        save_checkpoint(model, os.path.join(path, "checkpoint.tsrg"), ds.stations, spec.graph_k)
     return path, os.path.join(path, "metrics.json")
 
 
@@ -324,7 +324,13 @@ def cmd_eval(args) -> tuple[str, str]:
     prov = provenance(spec)
     path = out_dir(args)
     ds = _load_windowed_dataset(spec)
-    model = load_checkpoint(args.checkpoint)
+    model = load_checkpoint(args.checkpoint, ds.stations, spec.graph_k)
+    stored = {"kind": model.kind, **asdict(model.cfg)}
+    wanted = {"kind": spec.kind, **asdict(replace(_model_config(spec, ds),
+                                                  init_seed=model.cfg.init_seed))}
+    if differ := [key for key in stored if stored[key] != wanted[key]]:
+        raise InputError(f"{args.checkpoint}: the spec's model section differs from the "
+                         f"checkpoint's in {', '.join(differ)}")
     prop = _propagation(spec, ds, model.cfg)
     _score_every_event(path, prov, model, prop, ds, 32,
                        checkpoint=os.path.basename(args.checkpoint))

@@ -23,9 +23,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import CheckpointFormatError, ConstructionError, ShapeError
+from .errors import CheckpointFormatError, ConstructionError, InputError, ShapeError
 from .layers import (ACTIVATIONS, Conv1DLayer, DenseLayer, GCNLayer, append_metadata,
                      node_feature_reshape)
+from .pool import blas_on_caller
 
 IM_NAMES = ("pga", "pgv", "sa03", "sa1", "sa3")
 MODEL_KINDS = ("tiser", "cnn")
@@ -33,7 +34,7 @@ MODEL_KINDS = ("tiser", "cnn")
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
 CHECKPOINT_MAGIC = b"TSRG"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _fits(value, hint) -> bool:
@@ -229,8 +230,10 @@ class Model:
             raise ShapeError(f"propagation matrix {m.shape} does not match n_nodes={self.n_nodes}")
         return m.astype(self.cfg.np_dtype)
 
+    @blas_on_caller()
     def forward(self, prop, x: np.ndarray, z: np.ndarray) -> ad.Tensor:
-        """Batched forward pass: x (B, N, T, C), z (N, 2) -> Tensor (B, 5, N)."""
+        """Batched forward pass: x (B, N, T, C), z (N, 2) -> Tensor (B, 5, N).
+        Holds ``pool.blas_on_caller``, so its bits do not depend on the caller."""
         cfg = self.cfg
         x = np.asarray(x, dtype=cfg.np_dtype)
         if x.ndim != 4 or x.shape[1] != self.n_nodes or x.shape[2] != cfg.input_length \
@@ -268,103 +271,68 @@ def build_tiser_gcn(cfg: ModelConfig, n_nodes: int) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: magic, version, meta JSON, then raw little-endian f64
-# parameter payloads in registry order.
+# checkpoint format v2: magic, version, meta JSON, then one little-endian f64
+# payload holding every parameter in registry order.
 
-def save_checkpoint(model: Model, path) -> None:
-    params = model.params()
-    meta = {
-        "kind": model.kind,
-        "n_nodes": model.n_nodes,
-        "cfg": asdict(model.cfg),
-        "params": [{"name": p.name, "shape": list(p.shape)} for p in params],
-    }
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+def _meta(model: Model, stations, graph_k: float) -> dict:
+    """A checkpoint's meta: the model's kind, size, config and parameter names
+    and shapes in registry order, and the network it is bound to: its
+    stations' [id, lat, lon] rows in node order and the graph cutoff."""
+    return {"kind": model.kind, "n_nodes": model.n_nodes, "cfg": asdict(model.cfg),
+            "params": [{"name": p.name, "shape": list(p.shape)} for p in model.params()],
+            "stations": [[s.id, s.lat, s.lon] for s in stations.stations],
+            "graph_k": float(graph_k)}
+
+
+def save_checkpoint(model: Model, path, stations, graph_k: float) -> None:
+    """Write ``model``, bound to the ``stations`` and ``graph_k`` it was trained on."""
+    blob = json.dumps(_meta(model, stations, graph_k), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for p in params:
-            name = p.name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name)))
-            fh.write(name)
-            fh.write(struct.pack("<I", p.data.ndim))
-            fh.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob)
+        for p in model.params():
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
-def _unpack(fmt: str, raw: bytes, off: int) -> tuple:
-    """struct.unpack_from that reports a short read as a format error."""
-    end = off + struct.calcsize(fmt)
-    if end > len(raw):
-        raise CheckpointFormatError(f"truncated checkpoint at offset {off}")
-    return struct.unpack_from(fmt, raw, off)
-
-
-def _is_param_entry(entry) -> bool:
-    """Whether a meta ``params`` item is {name: str, shape: [int >= 0]}."""
-    return isinstance(entry, dict) and isinstance(entry.get("name"), str) \
-        and isinstance(entry.get("shape"), list) \
-        and all(type(d) is int and d >= 0 for d in entry["shape"])
-
-
-def load_checkpoint(path) -> Model:
+def load_checkpoint(path, stations, graph_k: float) -> Model:
+    """The model saved at ``path``.  A file that is not a whole version-2
+    checkpoint is a CheckpointFormatError; one bound to other stations or
+    another ``graph_k`` than those given is an InputError."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(
-            f"bad magic at offset 0: expected {CHECKPOINT_MAGIC!r}, got {raw[:4]!r}")
-    off = 4
-    version, = _unpack("<I", raw, off)
-    off += 4
+    if raw[:4] != CHECKPOINT_MAGIC or len(raw) < 12:
+        raise CheckpointFormatError(f"bad magic or a header cut short: {len(raw)} bytes "
+                                    f"starting {raw[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
+    version, blob_len = struct.unpack_from("<II", raw, 4)
     if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    blob_len, = _unpack("<I", raw, off)
-    off += 4
+        raise CheckpointFormatError(
+            f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}: "
+            "retrain the model with `tisergcn train --protocol single`")
     try:
-        meta = json.loads(raw[off:off + blob_len].decode("utf-8"))
+        meta = json.loads(raw[12:12 + blob_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointFormatError(f"corrupt metadata blob at offset {off}: {exc}") from None
-    off += blob_len
-
+        raise CheckpointFormatError(f"corrupt metadata blob at offset 12: {exc}") from None
     try:
         model = Model(meta["kind"], ModelConfig(**meta["cfg"]), meta["n_nodes"])
-        entries = meta["params"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(
             f"metadata does not build a model: {type(exc).__name__}: {exc}") from None
-    if not (isinstance(entries, list) and all(map(_is_param_entry, entries))):
+    params, expected = model.params(), _meta(model, stations, graph_k)
+    if meta.get("params") != expected["params"]:
         raise CheckpointFormatError(
-            "metadata params must be a list of {name: str, shape: [int >= 0]}")
-    registry = {p.name: p for p in model.params()}
-    # each record's header is checked against its entry and the rebuilt model,
-    # which bounds its ndim and byte count, before its payload is read
-    for entry in entries:
-        name_len, = _unpack("<I", raw, off)
-        off += 4
-        name = raw[off:off + name_len].decode("utf-8", errors="replace")
-        off += name_len
-        ndim, = _unpack("<I", raw, off)
-        off += 4
-        if name != entry["name"] or ndim != len(entry["shape"]) \
-                or list(_unpack(f"<{ndim}I", raw, off)) != entry["shape"]:
-            raise CheckpointFormatError(f"parameter record mismatch for {entry['name']!r}")
-        off += 4 * ndim
-        shape = tuple(entry["shape"])
-        if name not in registry or registry[name].shape != shape:
-            raise CheckpointFormatError(f"parameter {name!r} does not fit the rebuilt model")
-        count = math.prod(shape)
-        if 8 * count > len(raw) - off:
-            raise CheckpointFormatError(f"truncated parameter payload at offset {off}")
-        values = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += 8 * count
+            "metadata params differ from the rebuilt model's names and shapes")
+    off, sizes = 12 + blob_len, [p.data.size for p in params]
+    if len(raw) - off != 8 * sum(sizes):
+        raise CheckpointFormatError(
+            f"payload at offset {off} holds {len(raw) - off} bytes, expected {8 * sum(sizes)}")
+    values = np.frombuffer(raw, dtype="<f8", offset=off)
+    for p, part in zip(params, np.split(values, np.cumsum(sizes)[:-1])):
         with np.errstate(over="ignore"):
-            values = values.astype(model.cfg.np_dtype)
-        if not np.isfinite(values).all():
+            part = part.astype(model.cfg.np_dtype).reshape(p.shape)
+        if not np.isfinite(part).all():
             raise CheckpointFormatError(
-                f"parameter {name!r} holds values that are not finite in {model.cfg.dtype}")
-        registry[name].data = values
-    if off != len(raw):
-        raise CheckpointFormatError(f"{len(raw) - off} trailing bytes after offset {off}")
+                f"parameter {p.name!r} holds values that are not finite in {model.cfg.dtype}")
+        p.data = part
+    for key in ("stations", "graph_k"):
+        if meta.get(key) != expected[key]:
+            raise InputError(f"{path}: the given network differs from the checkpoint's in {key}")
     return model

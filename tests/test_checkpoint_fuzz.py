@@ -12,9 +12,12 @@ from hypothesis import given, settings, strategies as st
 from tisergcn.errors import TisergcnError
 from tisergcn.model import ModelConfig, build_tiser_gcn, load_checkpoint, save_checkpoint
 
+from conftest import line_stations
+
 TINY = ModelConfig(input_seconds=1, sample_rate_hz=20, conv_filters=(2, 2),
                    conv_kernels=(4, 4), conv_strides=(2, 2), gcn_filters=(2, 2),
                    dense_width=4)
+STATIONS = line_stations(3)
 
 # JSON values of every type; integers stay small so that no value that
 # happens to fit a field sizes a model too large for a test
@@ -28,14 +31,14 @@ JSON_VALUES = st.recursive(
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "tiny.tsrg"
-    save_checkpoint(build_tiser_gcn(TINY, 3), path)
+    save_checkpoint(build_tiser_gcn(TINY, 3), path, STATIONS, 0.3)
     return path.with_name("mutant.tsrg"), path.read_bytes()
 
 
 def load_or_refuse(path, raw: bytes) -> None:
     path.write_bytes(raw)
     try:
-        load_checkpoint(path)
+        load_checkpoint(path, STATIONS, 0.3)
     except TisergcnError:
         pass
 
@@ -53,7 +56,7 @@ def test_bit_flips_and_truncations(saved, data):
     load_or_refuse(path, bytes(mutant))
 
 
-@pytest.mark.parametrize("key", ["kind", "n_nodes", "cfg", "params",
+@pytest.mark.parametrize("key", ["kind", "n_nodes", "cfg", "params", "stations", "graph_k",
                                  *(f"cfg.{name}" for name in asdict(TINY))])
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(value=JSON_VALUES)

@@ -257,6 +257,38 @@ class TestSingleAndEval:
             for metric, val in trained[im].items():
                 assert evaled[im][metric] == pytest.approx(val, rel=1e-10)
 
+    @pytest.mark.parametrize("change,part", [
+        ({"synth": {"station_seed": 99}}, "stations"),
+        ({"graph_k": 0.9}, "graph_k"),
+        ({"model": {"kind": "cnn"}}, "kind"),
+        ({"model": {"propagation": "laplacian"}}, "propagation"),
+    ], ids=["station_seed-99", "graph_k-0.9", "kind-cnn", "propagation-laplacian"])
+    def test_eval_on_another_network_or_model_is_refused(self, workdir, single, tmp_path,
+                                                         capsys, change, part):
+        # the checkpoint was trained on the 3 stations of station seed 5 at
+        # graph_k 0.3, as a tiser model with renormalized propagation
+        _, _, data_dir = workdir
+        spec_single, out = single
+        spec = json.loads(open(spec_single).read())
+        for key, value in change.items():
+            spec[key] = {**spec[key], **value} if isinstance(value, dict) else value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        if "synth" in change:
+            data_dir = str(tmp_path / "data")
+            run_ok(["synth", "--spec", str(spec_path), "--out", data_dir])
+            capsys.readouterr()
+        eval_out = tmp_path / "eval"
+        rc = main(["eval", "--spec", str(spec_path), "--dataset", data_dir,
+                   "--out", str(eval_out), "--checkpoint", str(out / "checkpoint.tsrg")])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "InputError"
+        assert part in err["message"]
+        assert not (eval_out / "metrics.json").exists()
+
 
 class TestAblations:
     def test_ablate_k_rows(self, workdir, tmp_path):

@@ -1,5 +1,5 @@
 """Model assembly: configuration arithmetic, parameter counts, forward
-shapes, and the checkpoint container format."""
+shapes, the BLAS scope of a pass, and the checkpoint container format."""
 
 import json
 import math
@@ -9,8 +9,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from tisergcn.errors import CheckpointFormatError, ConstructionError, ShapeError
-from tisergcn.geo import build_adjacency, propagation_matrix
+import tisergcn.autodiff as ad
+from tisergcn.data import random_stations
+from tisergcn.errors import CheckpointFormatError, ConstructionError, InputError, ShapeError
+from tisergcn.geo import StationSet, build_adjacency, propagation_matrix
 from tisergcn.model import (
     IM_NAMES,
     Model,
@@ -19,6 +21,7 @@ from tisergcn.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from tisergcn.pool import blas_on_caller
 
 from conftest import line_stations
 
@@ -160,15 +163,60 @@ class TestForward:
         assert not np.allclose(on, off)
 
 
+class TestBlasScope:
+    def test_direct_pass_matches_the_pass_inside_the_scope(self, blas_at_two):
+        # OpenBLAS rounds some of the default model's GEMMs differently on one
+        # and on two threads; forward and backward hold one thread themselves,
+        # so a direct pass has the bits of the same pass inside a scope
+        stations = random_stations(20, 0)
+        prop = propagation_matrix(build_adjacency(stations, 0.3), "renormalized")
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((4, 20, 1000, 3)), rng.standard_normal((4, 5, 20))
+        model = build_tiser_gcn(ModelConfig(), 20)
+
+        def run():
+            ad.zero_grad(model.params())
+            pred = model.forward(prop, x, stations.coords())
+            ad.backward(ad.mse_loss(pred, y))
+            return {"pred": pred.data, **{p.name: p.grad for p in model.params()}}
+
+        direct = run()
+        with blas_on_caller():
+            scoped = run()
+        assert [k for k in direct if not np.array_equal(direct[k], scoped[k])] == []
+
+
+# every checkpoint below is bound to the line network of its model's size
+GRAPH_K = 0.3
+
+
+def save(model, path):
+    save_checkpoint(model, path, line_stations(model.n_nodes), GRAPH_K)
+
+
+def load(path, n_nodes=3):
+    return load_checkpoint(path, line_stations(n_nodes), GRAPH_K)
+
+
+def rewrite_meta(path, edit):
+    """Apply ``edit`` to the meta JSON of the checkpoint at ``path`` in place."""
+    raw = path.read_bytes()
+    blob_len = int.from_bytes(raw[8:12], "little")
+    meta = json.loads(raw[12:12 + blob_len])
+    edit(meta)
+    blob = json.dumps(meta, sort_keys=True).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + blob_len:])
+
+
 class TestCheckpoint:
     def test_round_trip(self, small_cfg, prop5, rng, tmp_path):
         model = build_tiser_gcn(small_cfg, 5)
         for p in model.params():
             p.data += rng.standard_normal(p.data.shape) * 0.01
         path = tmp_path / "model.tsrg"
-        save_checkpoint(model, path)
+        save(model, path)
 
-        loaded = load_checkpoint(path)
+        loaded = load(path, 5)
         assert loaded.kind == model.kind
         assert loaded.cfg == model.cfg
         x = rng.standard_normal((2, 5, 400, 3))
@@ -176,55 +224,81 @@ class TestCheckpoint:
         assert np.array_equal(loaded.forward(prop5, x, z).data,
                               model.forward(prop5, x, z).data)
 
+    def test_layout(self, small_cfg, tmp_path):
+        # magic, version 2, the meta's length and JSON, then one f64 payload
+        model = build_tiser_gcn(small_cfg, 3)
+        path = tmp_path / "model.tsrg"
+        save(model, path)
+        raw = path.read_bytes()
+        blob_len = int.from_bytes(raw[8:12], "little")
+        assert raw[:8] == b"TSRG" + struct.pack("<I", 2)
+        meta = json.loads(raw[12:12 + blob_len])
+        assert meta["params"] == [{"name": p.name, "shape": list(p.shape)}
+                                  for p in model.params()]
+        assert meta["stations"] == [[s.id, s.lat, s.lon] for s in line_stations(3).stations]
+        assert meta["graph_k"] == GRAPH_K
+        payload = np.concatenate([p.data.ravel() for p in model.params()]).astype("<f8")
+        assert raw[12 + blob_len:] == payload.tobytes()
+
     def test_bad_magic(self, small_cfg, tmp_path):
         model = build_tiser_gcn(small_cfg, 3)
         path = tmp_path / "model.tsrg"
-        save_checkpoint(model, path)
+        save(model, path)
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointFormatError, match="magic"):
-            load_checkpoint(path)
+            load(path)
 
     def test_bad_version(self, small_cfg, tmp_path):
         model = build_tiser_gcn(small_cfg, 3)
         path = tmp_path / "model.tsrg"
-        save_checkpoint(model, path)
+        save(model, path)
         raw = bytearray(path.read_bytes())
         raw[4] = 99
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointFormatError, match="version"):
-            load_checkpoint(path)
+            load(path)
+
+    def test_version_1_is_refused(self, small_cfg, tmp_path):
+        # the old per-record layout has no reader: retraining is the way on
+        path = tmp_path / "model.tsrg"
+        save(build_tiser_gcn(small_cfg, 3), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        with pytest.raises(CheckpointFormatError,
+                           match=r"version 1\b.*train --protocol single"):
+            load(path)
 
     def test_truncated_payload(self, small_cfg, tmp_path):
         model = build_tiser_gcn(small_cfg, 3)
         path = tmp_path / "model.tsrg"
-        save_checkpoint(model, path)
+        save(model, path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(CheckpointFormatError):
-            load_checkpoint(path)
+            load(path)
 
     def test_every_truncation_is_a_format_error(self, tmp_path):
         cfg = ModelConfig(input_seconds=1, sample_rate_hz=20, conv_filters=(2, 2),
                           conv_kernels=(4, 4), conv_strides=(2, 2), gcn_filters=(2, 2),
                           dense_width=4)
         path = tmp_path / "model.tsrg"
-        save_checkpoint(build_tiser_gcn(cfg, 3), path)
+        save(build_tiser_gcn(cfg, 3), path)
         raw = path.read_bytes()
         cut_path = tmp_path / "cut.tsrg"
         for cut in range(len(raw)):
             cut_path.write_bytes(raw[:cut])
             with pytest.raises(CheckpointFormatError):
-                load_checkpoint(cut_path)
+                load(cut_path)
 
     def test_trailing_garbage(self, small_cfg, tmp_path):
         model = build_tiser_gcn(small_cfg, 3)
         path = tmp_path / "model.tsrg"
-        save_checkpoint(model, path)
+        save(model, path)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CheckpointFormatError):
-            load_checkpoint(path)
+            load(path)
 
     @pytest.mark.parametrize("edit", [
         lambda meta: meta.pop("kind"),
@@ -252,58 +326,61 @@ class TestCheckpoint:
             "params-dim-str"])
     def test_bad_metadata_is_a_format_error(self, small_cfg, tmp_path, edit):
         path = tmp_path / "model.tsrg"
-        save_checkpoint(build_tiser_gcn(small_cfg, 3), path)
-        raw = path.read_bytes()
-        blob_len = int.from_bytes(raw[8:12], "little")
-        meta = json.loads(raw[12:12 + blob_len])
-        edit(meta)
-        blob = json.dumps(meta, sort_keys=True).encode()
-        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob
-                         + raw[12 + blob_len:])
+        save(build_tiser_gcn(small_cfg, 3), path)
+        rewrite_meta(path, edit)
         with pytest.raises(CheckpointFormatError, match="metadata"):
-            load_checkpoint(path)
+            load(path)
 
-    @pytest.mark.parametrize("header", [
-        struct.pack("<I", 3 | 1 << 31),
-        struct.pack("<I", 70),
-        struct.pack("<4I", 3, 2**21, 2**21, 2**22),
-    ], ids=["ndim-flipped-2^31", "ndim-past-numpy", "dims-overflow-int64"])
-    def test_bad_record_header_is_a_format_error(self, small_cfg, tmp_path, header):
-        # the first record's ndim, and its dims, rewritten in place
+    @pytest.mark.parametrize("cut", [-8, 8], ids=["8-short", "8-over"])
+    def test_payload_of_another_size_is_a_format_error(self, small_cfg, tmp_path, cut):
         path = tmp_path / "model.tsrg"
-        save_checkpoint(build_tiser_gcn(small_cfg, 3), path)
+        save(build_tiser_gcn(small_cfg, 3), path)
         raw = path.read_bytes()
-        rec = 12 + int.from_bytes(raw[8:12], "little")
-        at = rec + 4 + int.from_bytes(raw[rec:rec + 4], "little")
-        path.write_bytes(raw[:at] + header + raw[at + len(header):])
-        with pytest.raises(CheckpointFormatError, match="record"):
-            load_checkpoint(path)
+        path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
+        with pytest.raises(CheckpointFormatError, match="payload"):
+            load(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda params: params[0]["shape"].reverse(),
+        lambda params: params[0].update(name="conv1.weights"),
+        lambda params: params.insert(0, params.pop(1)),
+    ], ids=["shape-changed", "renamed", "swapped"])
+    def test_params_unlike_the_model_are_a_format_error(self, small_cfg, tmp_path, edit):
+        # each edit keeps the payload's size, so only the list itself is wrong
+        path = tmp_path / "model.tsrg"
+        save(build_tiser_gcn(small_cfg, 3), path)
+        rewrite_meta(path, lambda meta: edit(meta["params"]))
+        with pytest.raises(CheckpointFormatError, match="params"):
+            load(path)
 
     @pytest.mark.parametrize("value", [math.nan, 1e300], ids=["nan", "overflows-f32"])
     def test_non_finite_parameter_is_a_format_error(self, small_cfg, tmp_path, value):
-        # the first value of the first record (conv1.kernels) rewritten in place;
+        # the payload's first value (of conv1.kernels) rewritten in place;
         # 1e300 is finite in the stored f64 but not in the f32 model
         path = tmp_path / "model.tsrg"
-        save_checkpoint(build_tiser_gcn(small_cfg, 3), path)
+        save(build_tiser_gcn(small_cfg, 3), path)
         raw = path.read_bytes()
-        rec = 12 + int.from_bytes(raw[8:12], "little")
-        at = rec + 4 + int.from_bytes(raw[rec:rec + 4], "little")
-        payload = at + 4 + 4 * int.from_bytes(raw[at:at + 4], "little")
+        payload = 12 + int.from_bytes(raw[8:12], "little")
         path.write_bytes(raw[:payload] + struct.pack("<d", value) + raw[payload + 8:])
         with pytest.raises(CheckpointFormatError, match="conv1.kernels"):
-            load_checkpoint(path)
+            load(path)
 
     def test_config_from_older_version(self, small_cfg, tmp_path):
         # a stored config with a field ModelConfig no longer has
-        model = build_tiser_gcn(small_cfg, 3)
         path = tmp_path / "model.tsrg"
-        save_checkpoint(model, path)
-        raw = path.read_bytes()
-        blob_len = int.from_bytes(raw[8:12], "little")
-        meta = json.loads(raw[12:12 + blob_len])
-        meta["cfg"]["l2_coeff"] = 1e-4
-        blob = json.dumps(meta, sort_keys=True).encode()
-        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob
-                         + raw[12 + blob_len:])
+        save(build_tiser_gcn(small_cfg, 3), path)
+        rewrite_meta(path, lambda meta: meta["cfg"].update(l2_coeff=1e-4))
         with pytest.raises(CheckpointFormatError, match="ModelConfig"):
-            load_checkpoint(path)
+            load(path)
+
+    @pytest.mark.parametrize("stations,graph_k,part", [
+        (line_stations(3, spacing_deg=0.2), GRAPH_K, "stations"),
+        (StationSet(line_stations(3).stations[::-1]), GRAPH_K, "stations"),
+        (line_stations(3), 0.5, "graph_k"),
+    ], ids=["stations-moved", "stations-reordered", "graph_k"])
+    def test_another_network_is_an_input_error(self, small_cfg, tmp_path, stations,
+                                               graph_k, part):
+        path = tmp_path / "model.tsrg"
+        save(build_tiser_gcn(small_cfg, 3), path)
+        with pytest.raises(InputError, match=part):
+            load_checkpoint(path, stations, graph_k)
