@@ -433,6 +433,9 @@ def cmd_report(args) -> tuple[str, str]:
     hashes = {r[1].get("provenance", {}).get("data_hash") for r in reports}
     if len(hashes) != 1:
         raise InputError(f"run directories mix incompatible datasets: {sorted(map(str, hashes))}")
+    kinds = {body.get("model_kind") for _, body in reports}
+    if len(kinds) != 1:
+        raise InputError(f"run directories mix model kinds: {sorted(map(str, kinds))}")
 
     # pool every individual run's metrics; a single dir reproduces itself
     pooled = [m for run_dir, body in reports

@@ -37,7 +37,7 @@ SA_PERIODS_S = (0.3, 1.0, 3.0)
 SA_DAMPING = 0.05
 LOG_EPS = 1e-12
 
-# Bytes of f64 waveforms held at once and of each Newmark buffer (CHANGES.md, Newmark).
+# Bytes of f64 waveforms per synth task and per chunk of the IM labels (CHANGES.md, Newmark).
 _CHUNK_BYTES = 1 << 20
 # Steps per block of the blocked Newmark recursion.
 _NEWMARK_BLOCK = 32
@@ -192,127 +192,87 @@ def _newmark_operators(dt: float, period: float, damping: float):
     return ops
 
 
-def _newmark_buffers(n: int, rows: int, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two working buffers of _newmark_peak_abs_accel for n items of
-    rows waveforms of T samples: whole items of about _CHUNK_BYTES of f64."""
-    item_size = rows * -(-(T - 1) // _NEWMARK_BLOCK) * _NEWMARK_BLOCK
-    size = min(max(1, _CHUNK_BYTES // (8 * item_size)), n) * item_size
-    return np.empty(size), np.empty(size)
-
-
 def _newmark_peak_abs_accel(accel: np.ndarray, dt: float, period: float,
-                            damping: float = SA_DAMPING, *, buffers=None) -> np.ndarray:
+                            damping: float = SA_DAMPING) -> np.ndarray:
     """Peak |absolute acceleration| of a damped SDOF oscillator, per row.
 
-    accel: (..., T) ground acceleration.  Fixed-step average-acceleration
-    recursion (gamma = 1/2, beta = 1/4) from rest, run exactly in blocks
-    of L steps: one GEMM with the Toeplitz impulse response gives each
-    block's response to its own inputs, another its end state, a scan by
-    doubling chains the block-start states, and a rank-3 GEMM adds their
-    free response.  The peak runs over the T - 1 steps only, not the
-    padding of the last block.  Rows are taken in chunks of about
-    _CHUNK_BYTES of f64 through the two reused ``buffers`` (from
-    _newmark_buffers, made here when not given).
+    accel: (..., T) ground acceleration, read in place (a strided view is
+    not copied).  Fixed-step average-acceleration recursion (gamma = 1/2,
+    beta = 1/4) from rest, run exactly in blocks of L steps: one GEMM with
+    the Toeplitz impulse response gives each block's response to its own
+    inputs, another its end state, a scan by doubling chains the
+    block-start states, and a rank-3 GEMM adds their free response.  The
+    peak runs over the T - 1 steps only, not the padding of the last
+    block.  Every row runs in one pass, so its working memory is two f64
+    arrays of the block-padded rows; compute_ims_batch bounds them by
+    passing chunks.
     """
     accel = np.asarray(accel)
     lead, steps = accel.shape[:-1], accel.shape[-1] - 1
-    # (items, rows per item, T); a view for the per-channel view of a
-    # contiguous (..., T, C) array
-    x = accel.reshape(-1, *accel.shape[-2:]) if accel.ndim > 2 else \
-        accel.reshape(-1, 1, accel.shape[-1])
-    peak = np.zeros(x.shape[:2])
-    if steps < 1 or peak.size == 0:
-        return peak.reshape(lead)
+    rows = math.prod(lead)
+    if steps < 1 or rows == 0:
+        return np.zeros(lead)
     L = _NEWMARK_BLOCK
     blocks = -(-steps // L)
     G, H, E, A0 = _newmark_operators(float(dt), float(period), float(damping))
 
-    item_size = x.shape[1] * blocks * L
-    dp_buf, r_buf = buffers or _newmark_buffers(*x.shape)
-    step = dp_buf.size // item_size
-    for lo in range(0, x.shape[0], step):
-        a = np.asarray(x[lo:lo + step], dtype=np.float64)
-        rows = a.shape[0] * a.shape[1]
-        # increments of p = -accel, zero-padded to whole blocks (the reused
-        # buffer must not carry a non-finite value into the zeros of G)
-        dp = dp_buf[:rows * blocks * L].reshape(a.shape[:2] + (blocks * L,))
-        np.subtract(a[..., :-1], a[..., 1:], out=dp[..., :steps])
-        dp[..., steps:] = 0.0
-        dp = dp.reshape(-1, L)
-        # block-start states s (blocks, rows, 3): at rest with acc = p_0,
-        # then s_b = M^L s_(b-1) + dp_(b-1) E, summed by a doubling scan
-        s = np.zeros((blocks, rows, 3))
-        s[0, :, 2] = -a[..., 0].reshape(rows)
-        s[1:] = (dp @ E).reshape(rows, blocks, 3)[:, :-1].transpose(1, 0, 2)
-        flat = s.reshape(-1, 3)
-        A, d = A0, 1
-        while d < blocks:
-            flat[d * rows:] += flat[:-d * rows] @ A
-            A = A @ A
-            d *= 2
-        r = np.matmul(dp, G, out=r_buf[:dp.size].reshape(dp.shape))
-        r += np.matmul(s.transpose(1, 0, 2).reshape(-1, 3), H, out=dp)
-        np.abs(r, out=r)
-        peak[lo:lo + step] = r.reshape(a.shape[:2] + (blocks * L,))[..., :steps].max(axis=-1)
-    return peak.reshape(lead)
+    # increments of p = -accel, zero-padded to whole blocks (np.empty may
+    # hand back memory holding a non-finite value, which the zeros of G
+    # would spread over the whole block)
+    dp = np.empty(lead + (blocks * L,))
+    np.subtract(accel[..., :-1], accel[..., 1:], out=dp[..., :steps], dtype=np.float64)
+    dp[..., steps:] = 0.0
+    dp = dp.reshape(-1, L)
+    # block-start states s (blocks, rows, 3): at rest with acc = p_0,
+    # then s_b = M^L s_(b-1) + dp_(b-1) E, summed by a doubling scan
+    s = np.zeros((blocks, rows, 3))
+    s[0, :, 2] = -accel[..., 0].reshape(rows)
+    s[1:] = (dp @ E).reshape(rows, blocks, 3)[:, :-1].transpose(1, 0, 2)
+    flat = s.reshape(-1, 3)
+    A, d = A0, 1
+    while d < blocks:
+        flat[d * rows:] += flat[:-d * rows] @ A
+        A = A @ A
+        d *= 2
+    r = dp @ G
+    r += np.matmul(s.transpose(1, 0, 2).reshape(-1, 3), H, out=dp)
+    np.abs(r, out=r)
+    return r.reshape(lead + (blocks * L,))[..., :steps].max(axis=-1)
 
 
-def _velocity_buffer(n: int, T: int, C: int) -> np.ndarray:
-    """The velocity buffer of _peak_ground_motion for n waveforms (T, C):
-    whole waveforms of about _CHUNK_BYTES of f64."""
-    return np.empty((min(max(1, _CHUNK_BYTES // (8 * T * C)), n), T - 1, C))
-
-
-def _peak_ground_motion(w: np.ndarray, dt: float, vel: np.ndarray | None = None) -> np.ndarray:
-    """(PGA, PGV) of waveforms (n, T, C), taken in chunks of as many as the
-    reused velocity buffer ``vel`` holds (from _velocity_buffer, made here
-    when not given)."""
-    out = np.empty((w.shape[0], 2))
-    if vel is None:
-        vel = _velocity_buffer(*w.shape)
-    step = vel.shape[0]
-    for lo in range(0, w.shape[0], step):
-        x = np.asarray(w[lo:lo + step], dtype=np.float64)
-        out[lo:lo + step, 0] = np.maximum(x.max(axis=(1, 2)), -x.min(axis=(1, 2)))
-        # trapezoid rule from v[0] = 0, which bounds the peak below by 0
-        v = vel[:x.shape[0]]
-        np.add(x[:, 1:], x[:, :-1], out=v)
-        v *= 0.5 * dt
-        np.cumsum(v, axis=1, out=v)
-        out[lo:lo + step, 1] = np.maximum(np.maximum(v.max(axis=(1, 2)), -v.min(axis=(1, 2))), 0.0)
-    return out
-
-
-def _ims_buffers(n: int, T: int, C: int):
-    """Working buffers of compute_ims_batch for up to n waveforms (T, C)."""
-    return _velocity_buffer(n, T, C), _newmark_buffers(n, C, T)
-
-
-def compute_ims_batch(w: np.ndarray, dt: float, *, buffers=None) -> np.ndarray:
+def compute_ims_batch(w: np.ndarray, dt: float) -> np.ndarray:
     """Intensity measures for waveforms (..., T, C) -> (..., 5).
 
     Channels are accelerations; PGA and SA take the max over channels,
     PGV integrates each channel first.  Column order matches IM_NAMES.
-    PGA and PGV, and each SA period, take the waveforms in chunks of
-    about _CHUNK_BYTES of f64 (at least one waveform each), so the working
-    memory beyond the input stays a small multiple of that budget.
-    ``buffers`` (from _ims_buffers for at least as many waveforms of this
-    shape) hold that working memory in place of arrays made per call.
+    One loop takes whole waveforms in chunks of about _CHUNK_BYTES of
+    block-padded per-channel f64 (at least one waveform) through PGA, PGV
+    and the Newmark kernel once per SA period, so the working memory
+    beyond the input stays a small multiple of that budget.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise InputError(f"dt must be positive and finite, got {dt}")
     w = np.asarray(w)
     if w.ndim < 2 or w.shape[-2] < 2:
         raise InputError(f"waveform needs at least 2 samples, got shape {w.shape}")
-    lead = w.shape[:-2]
-    w = w.reshape(-1, *w.shape[-2:])
-    vel, newmark = buffers or (None, None)
+    lead, (T, C) = w.shape[:-2], w.shape[-2:]
+    w = w.reshape(-1, T, C)
     out = np.empty((w.shape[0], len(IM_NAMES)))
-    out[:, :2] = _peak_ground_motion(w, dt, vel)
-    per_channel = np.moveaxis(w, -1, -2)  # (n, C, T)
-    for col, period in enumerate(SA_PERIODS_S, start=2):
-        out[:, col] = _newmark_peak_abs_accel(per_channel, dt, period,
-                                              buffers=newmark).max(axis=-1)
+    padded = C * -(-(T - 1) // _NEWMARK_BLOCK) * _NEWMARK_BLOCK
+    step = max(1, _CHUNK_BYTES // (8 * padded))
+    for lo in range(0, w.shape[0], step):
+        x = np.asarray(w[lo:lo + step], dtype=np.float64)
+        o = out[lo:lo + step]
+        o[:, 0] = np.maximum(x.max(axis=(1, 2)), -x.min(axis=(1, 2)))
+        # trapezoid rule from v[0] = 0, which bounds the peak below by 0
+        v = np.add(x[:, 1:], x[:, :-1])
+        v *= 0.5 * dt
+        np.cumsum(v, axis=1, out=v)
+        o[:, 1] = np.maximum(np.maximum(v.max(axis=(1, 2)), -v.min(axis=(1, 2))), 0.0)
+        del v  # freed before the Newmark kernel's two arrays of the chunk
+        per_channel = np.moveaxis(x, -1, -2)  # (chunk, C, T)
+        for col, period in enumerate(SA_PERIODS_S, start=2):
+            o[:, col] = _newmark_peak_abs_accel(per_channel, dt, period).max(axis=-1)
     return out.reshape(lead + (len(IM_NAMES),))
 
 
@@ -464,9 +424,10 @@ def synth_dataset(stations: StationSet, n_events: int, seed: int, **synth) -> Ev
     waveform, so targets depend on signal the model never sees.  Events are
     built on the process's thread pool (``pool.get_pool``), one task per
     chunk of events whose f64 waveforms fit _CHUNK_BYTES (at least one
-    event).  Every event draws from its own seeded generator and every chunk
-    is computed the same way on any thread, so the bytes do not depend on
-    the pool size.  A narrow
+    event).  Each task makes its own waveform array and computes its labels
+    with compute_ims_batch.  Every event draws from its own seeded generator
+    and every chunk is computed the same way on any thread, so the bytes do
+    not depend on the pool size.  A narrow
     ``mag_range`` pins source strength, leaving source-receiver distance
     as the dominant driver of the targets; a nonzero ``site_amp`` adds a
     position-linear per-station amplification on top.
@@ -502,27 +463,17 @@ def synth_dataset(stations: StationSet, n_events: int, seed: int, **synth) -> Ev
     # events per task: as many full-length f64 waveforms as fit the budget
     chunk = min(max(1, _CHUNK_BYTES // (8 * n * t_len * 3)), n_events)
     from .pool import get_pool
-    pool = get_pool()
-    # One slot of working buffers per thread that can hold a task, made on
-    # this thread: buffers made and freed on a pool thread stay in that
-    # thread's malloc arena, where training cannot reuse them.
-    slots = [(np.empty((chunk, n, t_len, 3)), _ims_buffers(chunk * n, t_len, 3))
-             for _ in range(min(pool.size, -(-n_events // chunk)))]
 
     def task(lo, hi):
-        wave, buffers = slots.pop()  # pop and append are atomic under the GIL
-        try:
-            for e in range(lo, hi):
-                synth_event_waveforms(stations, events[e], cfg.total_seconds,
-                                      cfg.sample_rate_hz, cfg.noise_amp, cfg.site_amp,
-                                      out=wave[e - lo])
-                X[e], _ = normalize_by_input_max(wave[e - lo, :, :window, :])
-            ims = compute_ims_batch(wave[:hi - lo], dt, buffers=buffers)  # (hi - lo, N, 5)
-            Y[lo:hi] = np.log10(ims + LOG_EPS).transpose(0, 2, 1)
-        finally:
-            slots.append((wave, buffers))
+        wave = np.empty((hi - lo, n, t_len, 3))
+        for e in range(lo, hi):
+            synth_event_waveforms(stations, events[e], cfg.total_seconds, cfg.sample_rate_hz,
+                                  cfg.noise_amp, cfg.site_amp, out=wave[e - lo])
+            X[e], _ = normalize_by_input_max(wave[e - lo, :, :window, :])
+        ims = compute_ims_batch(wave, dt)  # (hi - lo, N, 5)
+        Y[lo:hi] = np.log10(ims + LOG_EPS).transpose(0, 2, 1)
 
-    pool.run(task, n_events, chunk)
+    get_pool().run(task, n_events, chunk)
     ds = EventDataset(stations=stations, X=X, Y=Y, sample_rate_hz=cfg.sample_rate_hz)
     ds.validate()
     return ds

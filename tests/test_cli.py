@@ -380,6 +380,28 @@ class TestReport:
         rc = main(["report", "--out", str(tmp_path / "rep"), str(a), str(b)])
         assert rc == 2
 
+    def test_refuses_mixed_model_kinds(self, workdir, trained, tmp_path, capsys):
+        root, _, data_dir = workdir
+        spec_path = root / "spec_cnn.json"
+        spec_path.write_text(json.dumps({**TINY_SPEC, "model": {**TINY_SPEC["model"],
+                                                                "kind": "cnn"}}))
+        cnn = tmp_path / "cnn"
+        run_ok(["train", "--spec", str(spec_path), "--dataset", data_dir, "--out", str(cnn)])
+        capsys.readouterr()
+        rep = tmp_path / "rep"
+        assert main(["report", "--out", str(rep), str(trained), str(cnn)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "InputError" and "'cnn', 'tiser'" in err["message"]
+        assert not (rep / "report.md").exists()
+        # a body without model_kind is a kind of its own
+        body = json.loads((cnn / "metrics.json").read_text())
+        del body["model_kind"]
+        (cnn / "metrics.json").write_text(json.dumps(body))
+        assert main(["report", "--out", str(rep), str(trained), str(cnn)]) == 2
+        assert "'None', 'tiser'" in json.loads(capsys.readouterr().err)["message"]
+
 
 class TestLifecycle:
     """``main`` times every command, writes its run.log only after it

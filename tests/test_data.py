@@ -258,7 +258,7 @@ class TestBlockedNewmark:
 
 class TestBoundedChunks:
     # T - 1 is a whole number of blocks, so a budget of n waveforms gives
-    # chunks of n waveforms in both the PGA/PGV loop and the SA kernel
+    # chunks of n waveforms
     T = 6 * BLOCK + 1
 
     @pytest.mark.parametrize("per_chunk", [1, 2])
@@ -278,24 +278,72 @@ class TestBoundedChunks:
         monkeypatch.undo()
         assert np.allclose(chunked, compute_ims_batch(w, 0.01), rtol=1e-13, atol=0)
 
+    @staticmethod
+    def record_kernel(monkeypatch):
+        """Wraps the Newmark kernel; returns the list of (period, accel shape)
+        of its calls."""
+        calls, real = [], data._newmark_peak_abs_accel
+
+        def kernel(accel, dt, period, *args):
+            calls.append((period, accel.shape))
+            return real(accel, dt, period, *args)
+
+        monkeypatch.setattr(data, "_newmark_peak_abs_accel", kernel)
+        return calls
+
     def test_chunked_kernel_on_rows(self, rng, monkeypatch):
-        accel = rng.standard_normal((5, self.T))
-        want = newmark_peak_step_loop(accel, 0.01, 1.0)
-        for per_chunk in (1, 2):
-            monkeypatch.setattr(data, "_CHUNK_BYTES", per_chunk * 8 * (self.T - 1))
-            got = _newmark_peak_abs_accel(accel, 0.01, 1.0)
-            assert np.all(np.abs(got - want) <= 1e-10 * want)
+        # the kernel runs once per period on the per-channel rows of each
+        # chunk of whole waveforms, in order, and its peaks are the labels.
+        # T - 1 = 6 blocks + 5 steps: a chunk is sized by the block-padded rows
+        w = rng.standard_normal((5, self.T + 5, 3))
+        padded = 8 * 3 * 7 * BLOCK
+        for budget, sizes in ((1, [1] * 5),                 # below one waveform: one each
+                              (2 * padded - 1, [1] * 5),    # short of two padded waveforms
+                              (2 * padded, [2, 2, 1]),
+                              (10 ** 9, [5])):
+            monkeypatch.setattr(data, "_CHUNK_BYTES", budget)
+            calls = self.record_kernel(monkeypatch)
+            got = compute_ims_batch(w, 0.01)
+            assert calls == [(p, (k, 3, self.T + 5)) for k in sizes for p in SA_PERIODS_S]
+            monkeypatch.undo()
+            lo = 0
+            for k in sizes:
+                per_channel = np.moveaxis(w[lo:lo + k], -1, -2)
+                want = [_newmark_peak_abs_accel(per_channel, 0.01, p).max(axis=-1)
+                        for p in SA_PERIODS_S]
+                assert got[lo:lo + k, 2:].tobytes() == np.stack(want, axis=1).tobytes()
+                lo += k
 
     def test_non_finite_row_stays_in_its_row(self, rng, monkeypatch):
-        # rows share the kernel's buffers from chunk to chunk, padding too
-        accel = rng.standard_normal((3, self.T + 5))
-        accel[0, 7] = np.inf
-        monkeypatch.setattr(data, "_CHUNK_BYTES", 8 * 7 * BLOCK)   # one padded row
+        # chunks of 2, 2 and 1 waveforms, with T - 1 not a whole number of
+        # blocks; chunk 1 holds the non-finite waveform, and the padding of
+        # every chunk after it must start from zero
+        w = rng.standard_normal((5, self.T + 5, 3))
+        w[2, 7, 1] = np.inf
+        monkeypatch.setattr(data, "_CHUNK_BYTES", 2 * 8 * 3 * 7 * BLOCK)   # two padded waveforms
         with np.errstate(invalid="ignore"):
-            got = _newmark_peak_abs_accel(accel, 0.01, 1.0)
-        assert not np.isfinite(got[0])
-        assert np.allclose(got[1:], _newmark_peak_abs_accel(accel[1:], 0.01, 1.0),
-                           rtol=1e-13, atol=0)
+            got = compute_ims_batch(w, 0.01)
+            monkeypatch.undo()
+            unchunked = compute_ims_batch(w, 0.01)
+        for ims in (got, unchunked):
+            assert not np.isfinite(ims[2]).any()
+            assert np.isfinite(np.delete(ims, 2, axis=0)).all()
+        assert np.allclose(got[[0, 1, 3, 4]], unchunked[[0, 1, 3, 4]], rtol=1e-13, atol=0)
+        alone = np.concatenate([compute_ims_batch(w[:2], 0.01), compute_ims_batch(w[4:], 0.01)])
+        assert got[[0, 1, 4]].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 2, 1), (7, 300, 3), (4, 6, 200, 3),
+                                       (2, 10, 6000, 3), (2, 0, 50, 3)])
+    def test_kernel_rows_per_period(self, monkeypatch, shape):
+        # n waveforms of C channels give the kernel exactly n * C rows per
+        # SA period, whatever the chunking
+        calls = self.record_kernel(monkeypatch)
+        compute_ims_batch(np.zeros(shape), 0.01)
+        n, (T, C) = math.prod(shape[:-2]), shape[-2:]
+        for p in SA_PERIODS_S:
+            shapes = [s for q, s in calls if q == p]
+            assert all(len(s) == 3 and s[1:] == (C, T) for s in shapes)
+            assert sum(s[0] * s[1] for s in shapes) == n * C
 
     def test_memory_stays_within_budget(self, rng):
         w = rng.standard_normal((60, 10, 6000, 3))
@@ -643,8 +691,8 @@ class TestSynthOnThePool:
         assert got.X.tobytes() == X.tobytes() and got.Y.tobytes() == Y.tobytes()
 
     def test_bytes_under_contention(self, monkeypatch, pool_of_size):
-        # more threads than cores and a short switch interval: a buffer slot
-        # handed to two tasks at once shows in the bytes
+        # more threads than cores and a short switch interval: tasks that
+        # shared any working array would show it in the bytes
         monkeypatch.setattr(data, "_CHUNK_BYTES", self.EVENT_BYTES)
         pool_of_size(4)
         _, X, Y = synth_dataset_serial(self.STATIONS, 9, 11, **self.KW)
