@@ -115,14 +115,11 @@ def load_spec(args) -> Spec:
     spec = default_spec()
     if getattr(args, "spec", None):
         spec = _merge(spec, read_json_object(args.spec, InputError))
-    if getattr(args, "seed", None) is not None:
-        spec["seed"] = args.seed
-    if getattr(args, "dataset", None):
-        spec["dataset"] = args.dataset
-    if getattr(args, "k", None) is not None:
-        spec["graph_k"] = args.k
-    if getattr(args, "window", None) is not None:
-        spec["window_seconds"] = args.window
+    # a flag a command lacks, or left out, is None; --dataset "" is not given
+    for flag, key in (("seed", "seed"), ("dataset", "dataset"), ("k", "graph_k"),
+                      ("window", "window_seconds")):
+        if (value := getattr(args, flag, None)) not in (None, ""):
+            spec[key] = value
     # a section that is not an object fails at **, and an unknown key or a
     # value of the wrong type or out of range in the section's constructor
     try:
@@ -209,7 +206,10 @@ def _load_windowed_dataset(spec: Spec):
 
 
 def _model_config(spec: Spec, ds) -> ModelConfig:
-    """The spec's model config with the input shape of the dataset."""
+    """The spec's model config with the dataset's input shape, in whole seconds."""
+    if ds.n_samples % ds.sample_rate_hz:
+        raise InputError(f"the dataset's window, T={ds.n_samples} samples at {ds.sample_rate_hz} "
+                         f"Hz, is not a whole number of seconds; cut it with window_seconds")
     return replace(spec.model, input_seconds=ds.input_seconds,
                    sample_rate_hz=ds.sample_rate_hz, channels=ds.n_channels)
 
@@ -332,7 +332,7 @@ def cmd_eval(args) -> tuple[str, str]:
         raise InputError(f"{args.checkpoint}: the spec's model section differs from the "
                          f"checkpoint's in {', '.join(differ)}")
     prop = _propagation(spec, ds, model.cfg)
-    _score_every_event(path, prov, model, prop, ds, 32,
+    _score_every_event(path, prov, model, prop, ds, spec.train.batch_size,
                        checkpoint=os.path.basename(args.checkpoint))
     return path, os.path.join(path, "metrics.json")
 
@@ -340,16 +340,16 @@ def cmd_eval(args) -> tuple[str, str]:
 def _ablate(args, header: str, rows) -> tuple[str, str]:
     """Shared ablation sweep: the generator ``rows(spec, prov, ds, run)``
     yields the CSV rows, where ``run`` runs the protocol on the spec's
-    setting with the given kind, dataset, graph or model fields swapped."""
+    setting with the given kind, dataset, graph or model fields swapped; the
+    model takes its input shape from the run's dataset."""
     spec = load_spec(args)
     prov = provenance(spec)
     path = out_dir(args)
     ds = _load_windowed_dataset(spec)
-    mcfg = _model_config(spec, ds)
     graph = build_adjacency(ds.stations, float(spec.graph_k))
 
     def run(kind=spec.kind, ds=ds, graph=graph, **model_changes):
-        cfg = replace(mcfg, **model_changes)
+        cfg = replace(_model_config(spec, ds), **model_changes)
         prop = propagation_matrix(graph, cfg.propagation)
         return run_protocol(kind, ds, prop, cfg, spec.train, spec.seed)[0]
 
@@ -379,7 +379,7 @@ def cmd_ablate_window(args) -> tuple[str, str]:
             _window_samples(seconds, ds.sample_rate_hz, ds.n_samples)
         for kind in MODEL_KINDS:
             for seconds in spec.ablate.windows:
-                report = run(kind, truncate_dataset(ds, seconds), input_seconds=seconds)
+                report = run(kind, truncate_dataset(ds, seconds))
                 yield f"{kind},{seconds},{report.param_count},{_mean_mse(report)!r}"
 
     return _ablate(args, "model,window_seconds,param_count,mse", rows)
@@ -396,51 +396,41 @@ def cmd_ablate_meta(args) -> tuple[str, str]:
     return _ablate(args, "model,metadata,mse,seed,spec_sha256", rows)
 
 
-def _run_metrics(path, body: dict) -> list[dict]:
-    """The per-run metric tables of one metrics.json: its "runs" entries'
-    "metrics", or its own; each must give a number for every statistic of
-    every IM and "overall"."""
-    runs = body.get("runs", [body])
-
-    def number(v):
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-    def table(m):
-        return isinstance(m, dict) and all(
-            isinstance(m.get(im), dict) and all(number(m[im].get(s)) for s in METRIC_NAMES)
-            for im in (*IM_NAMES, "overall"))
-
-    if not (isinstance(runs, list) and runs
-            and all(isinstance(r, dict) and table(r.get("metrics")) for r in runs)):
-        raise InputError(f"{path}: expected mae, mse and rmse numbers per IM under 'metrics'")
-    return [r["metrics"] for r in runs]
+def _read_run(run_dir: str) -> tuple[dict, str | None, list[dict]]:
+    """The stamp, model kind and per-run metric tables of the metrics.json
+    in ``run_dir``: the tables of its "runs", or the flat body's own that
+    ``single`` and ``eval`` write.  Each table needs a number for every
+    statistic of every IM and "overall"."""
+    path = os.path.join(run_dir, "metrics.json")
+    body = read_json_object(path, InputError)
+    try:
+        stamp = {key: body["provenance"][key]
+                 for key in ("spec_sha256", "code_version", "data_hash")}
+        kind = body.get("model_kind")
+        tables = [run["metrics"] for run in body.get("runs", [body])]
+        cells = [t[im][s] for t in tables for im in (*IM_NAMES, "overall") for s in METRIC_NAMES]
+        if (tables and isinstance(kind, (str, type(None)))
+                and all(isinstance(v, str) for v in stamp.values())
+                and all(type(v) in (int, float) for v in cells)):
+            return stamp, kind, tables
+    except (TypeError, KeyError):
+        pass
+    raise InputError(f"{path}: expected a provenance object with string spec_sha256, "
+                     f"code_version and data_hash, a string or no model_kind, and mae, "
+                     f"mse and rmse numbers per IM under 'metrics'")
 
 
 def cmd_report(args) -> tuple[str, str]:
     if not args.runs:
         raise InputError("report needs at least one run directory")
-    reports = []
-    for run_dir in args.runs:
-        metrics_path = os.path.join(run_dir, "metrics.json")
-        body = read_json_object(metrics_path, InputError)
-        stamp = body.get("provenance")
-        keys = ("spec_sha256", "code_version", "data_hash")
-        if "provenance" in body and not (
-                isinstance(stamp, dict) and all(isinstance(stamp.get(k), str) for k in keys)):
-            raise InputError(f"{metrics_path}: provenance must be a JSON object with "
-                             f"string {', '.join(keys)}")
-        reports.append((run_dir, body))
-    hashes = {r[1].get("provenance", {}).get("data_hash") for r in reports}
-    if len(hashes) != 1:
-        raise InputError(f"run directories mix incompatible datasets: {sorted(map(str, hashes))}")
-    kinds = {body.get("model_kind") for _, body in reports}
-    if len(kinds) != 1:
-        raise InputError(f"run directories mix model kinds: {sorted(map(str, kinds))}")
-
+    stamps, kinds, tables = zip(*map(_read_run, args.runs))
+    for mix, values in (("incompatible datasets", {s["data_hash"] for s in stamps}),
+                        ("model kinds", set(kinds))):
+        if len(values) != 1:
+            raise InputError(f"run directories mix {mix}: {sorted(map(str, values))}")
     # pool every individual run's metrics; a single dir reproduces itself
-    pooled = [m for run_dir, body in reports
-              for m in _run_metrics(os.path.join(run_dir, "metrics.json"), body)]
-    prov = reports[0][1].get("provenance", {"spec_sha256": "none", "code_version": code_version()})
+    pooled = [table for run_tables in tables for table in run_tables]
+    prov = stamps[0]
 
     table_rows = []
     md = ["# Run report", "", f"Runs aggregated: {len(pooled)}", "",
@@ -454,13 +444,12 @@ def cmd_report(args) -> tuple[str, str]:
     write_csv(os.path.join(path, "metrics_table.csv"), prov,
               "im,metric,mean,std", table_rows)
     residual_rows = []
-    for run_dir, _ in reports:
+    for run_dir in args.runs:
         res_path = os.path.join(run_dir, "residuals.csv")
         if os.path.exists(res_path):
             with open(res_path, encoding="utf-8") as fh:
-                residual_rows.extend(
-                    line.rstrip("\n") for line in fh
-                    if not line.startswith("#") and not line.startswith("event,"))
+                residual_rows.extend(line.rstrip("\n") for line in fh
+                                     if not line.startswith(("#", "event,")))
     write_csv(os.path.join(path, "residuals.csv"), prov, RESIDUAL_HEADER, residual_rows)
     with open(os.path.join(path, "report.md"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(md) + "\n")

@@ -549,29 +549,20 @@ def load_dataset(path) -> EventDataset:
         raise DatasetFormatError(f"{manifest_path} not found")
     manifest = read_json_object(manifest_path, DatasetFormatError)
 
-    version = manifest.get("version")
-    if version != DATASET_VERSION:
+    if (version := manifest.get("version")) != DATASET_VERSION:
         raise DatasetVersionError(
             f"unsupported dataset version {version!r}, expected {DATASET_VERSION}")
-    for key in ("E", "N", "T", "C", "sample_rate_hz", "station_file", "dtype", "byte_order"):
-        if key not in manifest:
-            raise DatasetFormatError(f"manifest missing key {key!r}")
-    if manifest["dtype"] != "f32" or manifest["byte_order"] != "little-endian":
-        raise DatasetFormatError(
-            f"unsupported encoding {manifest['dtype']}/{manifest['byte_order']}")
-
-    for key in ("E", "N", "T", "C", "sample_rate_hz"):
-        value = manifest[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    for key, least in (("E", 1), ("N", 0), ("T", 0), ("C", 0), ("sample_rate_hz", 1)):
+        value = manifest.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
             raise DatasetFormatError(
-                f"{manifest_path}: {key} must be a non-negative integer, got {value!r}")
-    for key in ("E", "sample_rate_hz"):
-        if manifest[key] < 1:
-            raise DatasetFormatError(
-                f"{manifest_path}: {key} must be >= 1, got {manifest[key]}")
-    if not isinstance(manifest["station_file"], str):
-        raise DatasetFormatError(
-            f"{manifest_path}: station_file must be a file name, got {manifest['station_file']!r}")
+                f"{manifest_path}: {key} must be >= {least} (an integer), got {value!r}")
+    if not isinstance(manifest.get("station_file"), str):
+        raise DatasetFormatError(f"{manifest_path}: station_file must be a file name, "
+                                 f"got {manifest.get('station_file')!r}")
+    if (manifest.get("dtype"), manifest.get("byte_order")) != ("f32", "little-endian"):
+        raise DatasetFormatError(f"{manifest_path}: unsupported encoding {manifest.get('dtype')}"
+                                 f"/{manifest.get('byte_order')}, expected f32/little-endian")
     e, n, t, c = (manifest[k] for k in ("E", "N", "T", "C"))
     stations = load_stations_csv(os.path.join(path, manifest["station_file"]))
     if len(stations) != n:

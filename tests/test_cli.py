@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -100,13 +101,13 @@ class TestSynth:
 
     def test_provenance_fields(self, workdir):
         _, _, data_dir = workdir
-        prov = json.loads(open(os.path.join(data_dir, "provenance.json")).read())
+        prov = json.loads(Path(data_dir, "provenance.json").read_text())
         assert set(prov) == {"spec_sha256", "code_version", "data_hash"}
         assert len(prov["spec_sha256"]) == 12
 
     def test_wall_clock_only_in_run_log(self, workdir):
         _, _, data_dir = workdir
-        log = json.loads(open(os.path.join(data_dir, "run.log")).read())
+        log = json.loads(Path(data_dir, "run.log").read_text())
         assert log["command"] == "synth"
         assert "wall_clock_s" in log
 
@@ -255,7 +256,7 @@ class TestSingleAndEval:
         evaled = json.loads((eval_out / "metrics.json").read_text())["metrics"]
         for im in trained:
             for metric, val in trained[im].items():
-                assert evaled[im][metric] == pytest.approx(val, rel=1e-10)
+                assert evaled[im][metric] == val
 
     @pytest.mark.parametrize("change,part", [
         ({"synth": {"station_seed": 99}}, "stations"),
@@ -269,7 +270,7 @@ class TestSingleAndEval:
         # graph_k 0.3, as a tiser model with renormalized propagation
         _, _, data_dir = workdir
         spec_single, out = single
-        spec = json.loads(open(spec_single).read())
+        spec = json.loads(Path(spec_single).read_text())
         for key, value in change.items():
             spec[key] = {**spec[key], **value} if isinstance(value, dict) else value
         spec_path = tmp_path / "spec.json"
@@ -366,6 +367,40 @@ class TestReport:
         # concatenated residuals: one block per run directory
         res_lines = read_lines(rep / "residuals.csv")
         assert len(res_lines) == 2 + 2 * (3 * 3 * 5)
+
+    def test_single_run_and_its_eval_pool_as_two_runs(self, workdir, single, tmp_path):
+        # both directories hold the flat metrics.json of one scored model
+        _, _, data_dir = workdir
+        spec_single, out = single
+        eval_out = tmp_path / "eval"
+        run_ok(["eval", "--spec", spec_single, "--dataset", data_dir, "--out", str(eval_out),
+                "--checkpoint", str(out / "checkpoint.tsrg")])
+        rep = tmp_path / "rep"
+        run_ok(["report", "--out", str(rep), str(out), str(eval_out)])
+        assert "Runs aggregated: 2" in (rep / "report.md").read_text()
+        mses = [json.loads((d / "metrics.json").read_text())["metrics"]["overall"]["mse"]
+                for d in (out, eval_out)]
+        cell = next(r for r in read_lines(rep / "metrics_table.csv")
+                    if r.startswith("overall,mse"))
+        assert float(cell.split(",")[2]) == pytest.approx(np.mean(mses), rel=1e-12)
+        blocks = [read_lines(d / "residuals.csv")[2:] for d in (out, eval_out)]
+        assert read_lines(rep / "residuals.csv")[2:] == blocks[0] + blocks[1]
+        assert len(blocks[0]) == len(blocks[1]) == 12 * 3 * 5
+
+    def test_refuses_a_run_without_provenance(self, trained, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        body = json.loads((trained / "metrics.json").read_text())
+        del body["provenance"]
+        (run_dir / "metrics.json").write_text(json.dumps(body))
+        rep = tmp_path / "rep"
+        assert main(["report", "--out", str(rep), str(trained), str(run_dir)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "InputError"
+        assert str(run_dir / "metrics.json") in err["message"]
+        assert not rep.exists()
 
     def test_refuses_mixed_datasets(self, workdir, tmp_path):
         root, spec_path, data_dir = workdir
@@ -650,6 +685,28 @@ class TestErrorContract:
         err = json.loads(lines[0])
         assert err["error"] == "DatasetFormatError"
         assert "E must be >= 1" in err["message"]
+
+    def test_window_of_partial_seconds_is_refused_before_training(self, workdir, tmp_path,
+                                                                    capsys):
+        # 450 samples at 100 Hz: the model would read 4 s and find 4.5 s
+        _, spec_path, data_dir = workdir
+        ds = load_dataset(data_dir)
+        cut = tmp_path / "cut"
+        save_dataset(str(cut), EventDataset(stations=ds.stations, X=ds.X[:, :, :450], Y=ds.Y,
+                                            sample_rate_hz=ds.sample_rate_hz))
+        out = tmp_path / "o"
+        rc = main(["train", "--spec", spec_path, "--dataset", str(cut), "--out", str(out)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "InputError"
+        assert all(part in err["message"] for part in ("T=450", "100 Hz", "window_seconds"))
+        assert not out.exists()
+        # cut to whole seconds, the same dataset trains
+        run_ok(["train", "--spec", spec_path, "--dataset", str(cut), "--window", "4",
+                "--out", str(out)])
+        assert len(json.loads((out / "metrics.json").read_text())["runs"]) == 2
 
     def test_spec_not_utf8(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
